@@ -11,8 +11,10 @@ from .tensor import (  # noqa: F401
     ShapeError,
     Tensor,
     as_tensor,
+    attention,
     concat,
     matmul,
+    no_grad,
     set_default_dtype,
     softmax,
     strided_slice,
@@ -37,6 +39,7 @@ from .training import (  # noqa: F401
     grad_check,
     grad_check_model,
     mse_loss,
+    predict,
     train_model,
 )
 from .data import (  # noqa: F401

@@ -1,6 +1,10 @@
 """CSV ingestion, chronological splitting, train-fit standardization, and
 sliding-window sampling.
 
+Windows are read-only strided views of one variate-major copy of each
+split, so windowing a split costs the split's size, not the window count
+times the window size.
+
 Expected file layout: a header row, a timestamp first column, and one
 numeric column per variate. Splits are contiguous, disjoint spans of the
 timeline; the scaler is fit on the training span only so later spans
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -175,9 +180,14 @@ class StandardScaler:
         return values * self.std + self.mean
 
 
-def make_windows(values: np.ndarray, start: int, end: int, lookback: int,
-                 horizon: int) -> list:
-    """All stride-1 windows whose input and target both fit in [start, end)."""
+def window_views(values: np.ndarray, start: int, end: int, lookback: int,
+                 horizon: int) -> tuple:
+    """Read-only ([M, N, L], [M, N, F]) views of every stride-1 window in [start, end).
+
+    Window m takes its inputs from rows start + m .. start + m + L - 1 and its
+    target from the F rows after them. The views share one [N, end - start]
+    copy of the span, stored variate-major so each window row is contiguous.
+    """
     span = end - start
     needed = lookback + horizon
     if span < needed:
@@ -185,13 +195,17 @@ def make_windows(values: np.ndarray, start: int, end: int, lookback: int,
             f"split of length {span} is too short for lookback {lookback} + "
             f"horizon {horizon} = {needed} rows"
         )
-    samples = []
-    for origin in range(start, end - needed + 1):
-        window = values[origin:origin + lookback]        # [L, N]
-        target = values[origin + lookback:origin + needed]  # [F, N]
-        samples.append(WindowSample(
-            inputs=window.T.copy(), target=target.T.copy(), origin=origin))
-    return samples
+    series = np.ascontiguousarray(values[start:end].T)  # [N, span]
+    windows = sliding_window_view(series, needed, axis=1).transpose(1, 0, 2)  # [M, N, L + F]
+    return windows[..., :lookback], windows[..., lookback:]
+
+
+def make_windows(values: np.ndarray, start: int, end: int, lookback: int,
+                 horizon: int) -> list:
+    """All stride-1 windows whose input and target both fit in [start, end)."""
+    inputs, targets = window_views(values, start, end, lookback, horizon)
+    return [WindowSample(inputs=x, target=y, origin=start + m)
+            for m, (x, y) in enumerate(zip(inputs, targets))]
 
 
 def stack_windows(samples: list) -> tuple:
@@ -207,7 +221,7 @@ def stack_windows(samples: list) -> tuple:
 class PreparedData:
     dataset: Dataset
     scaler: StandardScaler
-    train: tuple   # ([M, N, L], [M, N, F])
+    train: tuple   # ([M, N, L], [M, N, F]) read-only views
     val: tuple
     test: tuple
 
@@ -218,7 +232,7 @@ def prepare_windows(spec: DatasetSpec, *, standardized: bool = True) -> Prepared
     (tr0, tr1), (va0, va1), (te0, te1) = split_bounds(dataset.length, spec.split_ratio)
     scaler = StandardScaler.fit(dataset.values[tr0:tr1])
     values = scaler.transform(dataset.values) if standardized else dataset.values
-    train = stack_windows(make_windows(values, tr0, tr1, spec.lookback, spec.horizon))
-    val = stack_windows(make_windows(values, va0, va1, spec.lookback, spec.horizon))
-    test = stack_windows(make_windows(values, te0, te1, spec.lookback, spec.horizon))
+    train = window_views(values, tr0, tr1, spec.lookback, spec.horizon)
+    val = window_views(values, va0, va1, spec.lookback, spec.horizon)
+    test = window_views(values, te0, te1, spec.lookback, spec.horizon)
     return PreparedData(dataset=dataset, scaler=scaler, train=train, val=val, test=test)

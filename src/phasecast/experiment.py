@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError
 from .metrics import forecast_metrics, repeat_last, window_mean
 from .model import Forecaster, ModelConfig, VARIANTS
 from .tensor import set_default_dtype
-from .training import TrainSchedule, grad_check_model, train_model
+from .training import TrainSchedule, grad_check_model, predict, train_model
 
 OFFSET_SEMANTICS = (
     "interleaved phases: sub-sequence u holds positions u, u+O, u+2O, ... of the lookback"
@@ -200,11 +200,7 @@ def _evaluate(model: Forecaster, test, scaler=None, batch_size: int = 256) -> di
     ``scaler`` maps predictions and targets back to raw units first.
     """
     test_x, test_y = test
-    model.eval()
-    preds = []
-    for lo in range(0, test_x.shape[0], batch_size):
-        preds.append(model.forward(test_x[lo:lo + batch_size]).data)
-    pred = np.concatenate(preds, axis=0)
+    pred = predict(model, test_x, batch_size)
     horizon = test_y.shape[-1]
     naive_last = repeat_last(test_x, horizon)
     naive_mean = window_mean(test_x, horizon)

@@ -17,12 +17,12 @@ from .tensor import (
     ShapeError,
     Tensor,
     as_tensor,
+    attention,
     conv1d_same,
     default_dtype,
     exp,
     matmul,
     reshape,
-    softmax,
     sqrt,
     square,
     tanh,
@@ -108,14 +108,6 @@ def gelu(x) -> Tensor:
     return 0.5 * x * (1.0 + tanh(inner))
 
 
-def apply_dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    if not training or rate <= 0.0:
-        return x
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(default_dtype()) / keep
-    return x * Tensor(mask)
-
-
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over a token axis, multi-head, no mask.
 
@@ -161,14 +153,15 @@ class MultiHeadAttention(Module):
         vh = self._split_heads(matmul(v, self.wv))  # [B, H, Skv, hd]
 
         scale = 1.0 / np.sqrt(float(self.head_dim))
-        scores = matmul(qh, transpose(kh, (0, 1, 3, 2))) * scale  # [B, H, Sq, Skv]
-        weights = softmax(scores, axis=-1)
-        dropped = apply_dropout(weights, self.dropout_rate, self._dropout_rng, self.training)
-        ctx = matmul(dropped, vh)  # [B, H, Sq, hd]
+        keep, keep_prob = None, 1.0
+        if self.training and self.dropout_rate > 0.0:
+            keep_prob = 1.0 - self.dropout_rate
+            keep = self._dropout_rng.random((b, self.num_heads, sq, k.shape[1])) < keep_prob
+        ctx, weights = attention(qh, kh, vh, scale, keep, keep_prob)  # [B, H, Sq, hd]
         merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, sq, self.model_dim))
         out = matmul(merged, self.wo)
         if return_weights:
-            return out, weights.data
+            return out, weights
         return out
 
 

@@ -289,9 +289,11 @@ class Forecaster(Module):
         """Map [B, N, L] history to a [B, N, F] forecast.
 
         Returns the prediction, or (prediction, ForwardTrace) when
-        ``collect_trace`` is set.
+        ``collect_trace`` is set. An array input is first copied into C order
+        if it is not already (window views are strided), so the forecast does
+        not depend on how the caller's batch is laid out in memory.
         """
-        x = as_tensor(x)
+        x = as_tensor(x if isinstance(x, Tensor) else np.ascontiguousarray(x))
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != cfg.num_variates or x.shape[2] != cfg.lookback:
             raise ConfigError(

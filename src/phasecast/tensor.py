@@ -8,13 +8,26 @@ gradients into every reachable node.
 Values are float64 by default (float32 can be selected for speed).
 Any op that produces a non-finite value raises ``NonFiniteError``
 immediately instead of letting NaNs propagate into training.
+
+Inside ``no_grad()`` ops compute their values but record nothing, so an
+inference forward keeps no intermediate arrays alive.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
 
 _DEFAULT_DTYPE = np.float64
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 class ShapeError(ValueError):
@@ -204,12 +217,28 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape in this thread inside the block.
+
+    Outputs made inside have no parents and no backward closure, so the
+    arrays an op would keep for backward are freed as soon as the op returns.
+    The previous mode comes back on exit, also when the block raises.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
+
+
 def _make_output(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
     _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    grad_parents = tuple(p for p in parents if p.requires_grad)
+    grad_parents = tuple(p for p in parents if p.requires_grad) if _GRAD_MODE.enabled else ()
     out.requires_grad = bool(grad_parents)
     out._parents = grad_parents
     out._backward_fn = backward_fn if grad_parents else None
@@ -485,6 +514,57 @@ def softmax(a, axis: int = -1) -> Tensor:
         a._accumulate(data * (g - inner))
 
     return _make_output(data, (a,), backward_fn, "softmax")
+
+
+def attention(q, k, v, scale: float, keep=None, keep_prob: float = 1.0):
+    """Fused scaled dot-product attention over the last two axes.
+
+    Computes ``softmax(q @ k^T * scale) @ v`` for q ``[..., Sq, d]`` and
+    k, v ``[..., Skv, d]``. ``keep`` is an optional boolean dropout mask
+    shaped like the ``[..., Sq, Skv]`` weights; kept weights are scaled by
+    ``1 / keep_prob`` and dropped ones are zeroed. Returns the output
+    ``[..., Sq, d]`` and the undropped softmax weights (read-only).
+
+    The weights are built in place in one array. Backward keeps only q, k,
+    v, the weights and the boolean mask, and recomputes the dropped weights.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim < 2 or q.shape[-1] != k.shape[-1] or k.shape != v.shape:
+        raise ShapeError(f"attention needs q [..., Sq, d] and k, v [..., Skv, d]; "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+            weights *= scale
+    except ValueError as err:
+        raise ShapeError(f"attention batch dimensions incompatible: {q.shape} vs {k.shape}: "
+                         f"{err}") from None
+    _ensure_finite(weights, "attention")
+    if keep is not None and keep.shape != weights.shape:
+        raise ShapeError(f"dropout mask shape {keep.shape} differs from weights {weights.shape}")
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    weights.flags.writeable = False
+    # The value of a kept mask entry, in the weights' dtype.
+    inv_keep = weights.dtype.type(1.0) / keep_prob
+
+    def dropped():
+        return weights if keep is None else weights * (keep * inv_keep)
+
+    data = np.matmul(dropped(), v.data)
+
+    def backward_fn(g):
+        gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        if keep is not None:
+            gw *= keep * inv_keep
+        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+        gs *= scale
+        q._accumulate(np.matmul(gs, k.data))
+        k._accumulate(np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2))
+        v._accumulate(np.matmul(np.swapaxes(dropped(), -1, -2), g))
+
+    return _make_output(data, (q, k, v), backward_fn, "attention"), weights
 
 
 def conv1d_same(x, w, b) -> Tensor:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import NonFiniteError, Parameter, ShapeError, Tensor, as_tensor
+from .tensor import NonFiniteError, Parameter, ShapeError, Tensor, as_tensor, no_grad
 
 
 def mse_loss(pred, target) -> Tensor:
@@ -115,23 +115,35 @@ class TrainReport:
         }
 
 
-def evaluate_mse(model, inputs: np.ndarray, targets: np.ndarray, batch_size: int = 256) -> float:
-    """Mean squared error of the model over a window set, eval mode, no tape reuse."""
+def predict(model, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Forecasts [M, N, F] for a window set, in batches, in eval mode and without a tape.
+
+    This is the one inference path: validation and test both go through it.
+    The model's training flag is restored afterwards, also when a batch raises.
+    """
+    if inputs.shape[0] == 0:
+        raise DataError("evaluation over an empty window set")
     was_training = model.training
     model.eval()
+    try:
+        with no_grad():
+            preds = [model.forward(inputs[lo:lo + batch_size]).data
+                     for lo in range(0, inputs.shape[0], batch_size)]
+    finally:
+        if was_training:
+            model.train()
+    return np.concatenate(preds, axis=0)
+
+
+def evaluate_mse(model, inputs: np.ndarray, targets: np.ndarray, batch_size: int = 256) -> float:
+    """Mean squared error of the model over a window set (see ``predict``)."""
+    pred = predict(model, inputs, batch_size)
+    # Summed batch by batch: a fixed summation order keeps the value, and the
+    # early stopping that reads it, the same bit for bit across batch layouts.
     total = 0.0
-    count = 0
-    for lo in range(0, inputs.shape[0], batch_size):
-        xb = inputs[lo:lo + batch_size]
-        yb = targets[lo:lo + batch_size]
-        pred = model.forward(xb)
-        total += float(((pred.data - yb) ** 2).sum())
-        count += yb.size
-    if was_training:
-        model.train()
-    if count == 0:
-        raise DataError("evaluation over an empty window set")
-    return total / count
+    for lo in range(0, pred.shape[0], batch_size):
+        total += float(((pred[lo:lo + batch_size] - targets[lo:lo + batch_size]) ** 2).sum())
+    return total / targets.size
 
 
 def train_model(model, train_windows, val_windows, schedule: TrainSchedule,

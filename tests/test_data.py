@@ -130,6 +130,23 @@ class TestSplitsAndWindows:
         np.testing.assert_array_equal(s.inputs[:, -1], values[4])
         np.testing.assert_array_equal(s.target[:, 0], values[5])
 
+    @pytest.mark.parametrize("ratio", ["6:2:2", "7:1:2"])
+    def test_prepared_splits_are_read_only_views_equal_to_stacked_windows(self, tmp_path, ratio):
+        values = sine_mixture(120, num_variates=3, seed=4)
+        path = tmp_path / "series.csv"
+        write_series_csv(path, values)
+        prepared = prepare_windows(DatasetSpec(path=str(path), split_ratio=ratio,
+                                               lookback=8, horizon=4))
+        scaled = prepared.scaler.transform(prepared.dataset.values)
+        bounds = split_bounds(120, ratio)
+        for split, (start, end) in zip((prepared.train, prepared.val, prepared.test), bounds):
+            expected = stack_windows(make_windows(scaled, start, end, 8, 4))
+            for got, want in zip(split, expected):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                with pytest.raises(ValueError):
+                    got[0, 0, 0] = 1.0
+
     def test_stack_windows_shapes(self):
         values = np.arange(20.0).reshape(10, 2)
         x, y = stack_windows(make_windows(values, 0, 10, 4, 2))

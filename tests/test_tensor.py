@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasecast.tensor import (
     NonFiniteError,
     Parameter,
     ShapeError,
     Tensor,
+    attention,
     concat,
     conv1d_same,
     matmul,
+    no_grad,
     softmax,
     strided_slice,
+    transpose,
 )
 
 
@@ -96,6 +101,103 @@ class TestSoftmax:
         loss_fn().backward()
         fd = finite_difference(loss_fn, p)
         assert np.max(np.abs(p.grad - fd)) < 1e-7
+
+
+def composed_attention(q, k, v, scale, keep=None, keep_prob=1.0):
+    """The unfused tape composition the fused op must reproduce."""
+    weights = softmax(matmul(q, transpose(k, (0, 1, 3, 2))) * scale, axis=-1)
+    if keep is not None:
+        weights = weights * Tensor(keep.astype(np.float64) / keep_prob)
+    return matmul(weights, v)
+
+
+def attention_inputs(seed, batch, heads, sq, skv, hd, masked):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((batch, heads, sq, hd))
+    k = rng.standard_normal((batch, heads, skv, hd))
+    v = rng.standard_normal((batch, heads, skv, hd))
+    upstream = rng.standard_normal((batch, heads, sq, hd))
+    keep = rng.random((batch, heads, sq, skv)) < 0.7 if masked else None
+    return q, k, v, upstream, keep
+
+
+class TestFusedAttention:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 2), heads=st.integers(1, 3),
+           sq=st.integers(1, 6), skv=st.integers(1, 6), hd=st.integers(1, 4),
+           masked=st.booleans())
+    def test_matches_unfused_composition(self, seed, batch, heads, sq, skv, hd, masked):
+        q, k, v, upstream, keep = attention_inputs(seed, batch, heads, sq, skv, hd, masked)
+        keep_prob = 0.7 if masked else 1.0
+        scale = 1.0 / np.sqrt(hd)
+        results = []
+        for op in (attention, composed_attention):
+            params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
+            out = op(*params, scale, keep, keep_prob)
+            out = out[0] if isinstance(out, tuple) else out
+            (out * Tensor(upstream)).sum().backward()
+            results.append([out.data] + [p.grad for p in params])
+        for fused, composed in zip(*results):
+            assert np.max(np.abs(fused - composed)) <= 1e-12
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_match_finite_differences(self, masked):
+        q, k, v, upstream, keep = attention_inputs(5, 2, 2, 3, 4, 2, masked)
+        params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
+
+        def loss_fn():
+            out, _ = attention(*params, 0.7, keep, 0.7 if masked else 1.0)
+            return (out * Tensor(upstream)).sum()
+
+        loss_fn().backward()
+        for p in params:
+            fd = finite_difference(loss_fn, p)
+            assert np.max(np.abs(p.grad - fd)) < 1e-7
+
+    def test_weights_are_read_only_row_stochastic(self):
+        q, k, v, _, _ = attention_inputs(1, 1, 2, 3, 5, 2, False)
+        _, weights = attention(Tensor(q), Tensor(k), Tensor(v), 1.0)
+        np.testing.assert_allclose(weights.sum(axis=-1), np.ones((1, 2, 3)), atol=1e-12)
+        with pytest.raises(ValueError):
+            weights[...] = 0.0
+
+    def test_non_finite_score_names_attention(self):
+        # One score overflows to -inf; the softmax and the output stay finite.
+        q = np.full((1, 1, 1, 1), 1e200)
+        k = np.array([-1e200, 0.0]).reshape(1, 1, 2, 1)
+        with pytest.raises(NonFiniteError, match="attention"):
+            attention(Tensor(q), Tensor(k), Tensor(k), 1.0)
+
+    def test_mask_shape_must_match_weights(self):
+        q, k, v, _, _ = attention_inputs(2, 1, 1, 2, 3, 2, False)
+        with pytest.raises(ShapeError):
+            attention(Tensor(q), Tensor(k), Tensor(v), 1.0, np.ones((1, 1, 3, 2), bool), 0.5)
+
+
+class TestNoGrad:
+    def test_outputs_record_no_tape(self):
+        x = Parameter(np.array([1.0, 2.0]), "x")
+        with no_grad():
+            out = (x * 3.0).exp().sum()
+        assert out._parents == () and out._backward_fn is None
+        assert not out.requires_grad
+
+    def test_mode_restored_after_nesting(self):
+        x = Parameter(np.array([1.0]), "x")
+        with no_grad():
+            with no_grad():
+                pass
+            assert (x * 2.0)._backward_fn is None
+        assert (x * 2.0)._parents == (x,)
+
+    def test_mode_restored_after_exception(self):
+        x = Parameter(np.array([1.0]), "x")
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        out = (x * 2.0).sum()
+        out.backward()
+        np.testing.assert_array_equal(x.grad, [2.0])
 
 
 class TestBackward:

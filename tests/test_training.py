@@ -5,12 +5,22 @@ from phasecast.data import StandardScaler, make_windows, stack_windows
 from phasecast.errors import ConfigError, DataError
 from phasecast.model import Forecaster, ModelConfig
 from phasecast.synthetic import linear_trend
-from phasecast.tensor import NonFiniteError, Parameter, ShapeError, Tensor, _make_output, matmul
+from phasecast.tensor import (
+    NonFiniteError,
+    Parameter,
+    ShapeError,
+    Tensor,
+    _make_output,
+    matmul,
+    no_grad,
+)
 from phasecast.training import (
     Adam,
     TrainSchedule,
+    evaluate_mse,
     grad_check,
     mse_loss,
+    predict,
     train_model,
 )
 
@@ -222,3 +232,50 @@ class TestGradCheckHarness:
         report = grad_check(lambda: mse_loss(buggy_identity(matmul(x, w)), y), [w])
         assert not report.passed
         assert report.max_rel_error > 1e-3
+
+
+class TestPredict:
+    def test_matches_taped_forward_bit_for_bit(self):
+        model = tiny_model()
+        _, _, (test_x, test_y) = tiny_windows()
+        model.eval()
+        for batch_size in (1, 7, 256):
+            taped = np.concatenate([model.forward(test_x[lo:lo + batch_size]).data
+                                    for lo in range(0, len(test_x), batch_size)])
+            np.testing.assert_array_equal(predict(model, test_x, batch_size), taped)
+        expected = float(np.mean((taped - test_y) ** 2))
+        assert abs(evaluate_mse(model, test_x, test_y, batch_size=7) - expected) <= 1e-12
+
+    def test_untaped_forward_leaves_gradients_untouched(self):
+        model = Forecaster(ModelConfig(
+            num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2,
+            rbf_grid=3, dropout=0.3, seed=1))
+        _, _, (test_x, _) = tiny_windows()
+        rng = np.random.default_rng(0)
+        for p in model.parameters():
+            p.grad = rng.standard_normal(p.shape)
+        before = [p.grad.copy() for p in model.parameters()]
+        model.eval()
+        taped = model.forward(test_x)
+        with no_grad():
+            untaped = model.forward(test_x)
+        np.testing.assert_array_equal(untaped.data, taped.data)
+        assert untaped._parents == () and untaped._backward_fn is None
+        untaped.sum().backward()
+        for p, grad in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.grad, grad)
+
+    def test_restores_training_flag_also_on_error(self):
+        model = tiny_model()
+        _, _, (test_x, _) = tiny_windows()
+        model.train()
+        predict(model, test_x, 16)
+        assert model.training
+        with pytest.raises(ConfigError):
+            predict(model, test_x[:, :, :5], 16)
+        assert model.training
+        assert (model.head.weight * 1.0)._backward_fn is not None
+
+    def test_empty_window_set_rejected(self):
+        with pytest.raises(DataError):
+            predict(tiny_model(), np.zeros((0, 2, 8)))

@@ -12,12 +12,10 @@ from .tensor import (  # noqa: F401
     Tensor,
     as_tensor,
     attention,
-    concat,
     matmul,
     no_grad,
     set_default_dtype,
     softmax,
-    strided_slice,
 )
 from .layers import (  # noqa: F401
     Conv1dBlock,
@@ -28,8 +26,8 @@ from .layers import (  # noqa: F401
     MultiHeadAttention,
 )
 from .revin import RevIN, RevinState  # noqa: F401
-from .offsets import OffsetBundle, OffsetConfigError, merge_offsets, split_offsets  # noqa: F401
-from .model import Forecaster, ForwardTrace, ModelConfig, VARIANTS  # noqa: F401
+from .offsets import OffsetConfigError, merge_offsets, split_offsets  # noqa: F401
+from .model import Forecaster, ModelConfig, VARIANTS  # noqa: F401
 from .training import (  # noqa: F401
     Adam,
     GradCheckReport,

@@ -21,7 +21,7 @@ from . import __version__
 from .data import DatasetSpec, prepare_windows
 from .errors import ConfigError, DataError
 from .metrics import forecast_metrics, repeat_last, window_mean
-from .model import Forecaster, ModelConfig, VARIANTS
+from .model import SAME_MODEL_AS, Forecaster, ModelConfig, VARIANTS
 from .tensor import set_default_dtype
 from .training import TrainSchedule, grad_check_model, predict, train_model
 
@@ -30,6 +30,7 @@ OFFSET_SEMANTICS = (
 )
 
 _DATASET_KEYS = {"path", "split_ratio", "columns", "forward_fill", "sort_on_disorder"}
+# per_offset_kan is retired; ModelConfig.from_dict accepts only its old default.
 _MODEL_KEYS = {
     "offsets", "num_heads", "rbf_grid", "rbf_span", "kan_prenorm", "per_offset_kan",
     "mlp_hidden", "conv_kernel", "dropout", "depth", "variant", "revin_affine", "precision",
@@ -152,17 +153,12 @@ class ExperimentConfig:
         )
 
     def model_config(self, num_variates: int, horizon: int, variant: str | None = None) -> ModelConfig:
-        kwargs = dict(self.model)
+        fields = dict(self.model, num_variates=num_variates, lookback=self.lookback,
+                      horizon=horizon, seed=self.seed)
         if variant is not None:
-            kwargs["variant"] = variant
+            fields["variant"] = variant
         try:
-            cfg = ModelConfig(
-                num_variates=num_variates,
-                lookback=self.lookback,
-                horizon=horizon,
-                seed=self.seed,
-                **kwargs,
-            )
+            cfg = ModelConfig.from_dict(fields)
         except TypeError as err:
             raise ConfigError(f"bad model config: {err}") from None
         cfg.validate()
@@ -305,19 +301,20 @@ def run_ablate(config: ExperimentConfig, out_dir, horizon: int | None = None,
     raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
     n = prepared.dataset.num_variates
     report = _report_skeleton(config, "ablate")
+    results = {}  # one trained model per distinct build; aliased tags share its row
     for tag in variants:
-        started = time.perf_counter()
-        model = Forecaster(config.model_config(n, chosen, tag))
-        train_report = train_model(model, prepared.train, prepared.val, config.schedule())
-        metrics = _evaluate(model, prepared.test, scaler=raw_scaler)
-        report["runs"].append({
-            "horizon": chosen,
-            "variant": tag,
-            "metrics": metrics,
-            "train_report": train_report.to_dict(),
-            "parameter_count": model.parameter_count(),
-            "wall_time_s": time.perf_counter() - started,
-        })
+        build = SAME_MODEL_AS.get(tag, tag)
+        if build not in results:
+            started = time.perf_counter()
+            model = Forecaster(config.model_config(n, chosen, tag))
+            train_report = train_model(model, prepared.train, prepared.val, config.schedule())
+            results[build] = {
+                "metrics": _evaluate(model, prepared.test, scaler=raw_scaler),
+                "train_report": train_report.to_dict(),
+                "parameter_count": model.parameter_count(),
+                "wall_time_s": time.perf_counter() - started,
+            }
+        report["runs"].append({"horizon": chosen, "variant": tag, **results[build]})
     _write_report(out, report)
     return report
 

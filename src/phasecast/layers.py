@@ -20,9 +20,10 @@ from .tensor import (
     attention,
     conv1d_same,
     default_dtype,
-    exp,
+    gaussian_rbf,
     matmul,
     reshape,
+    softmax,
     sqrt,
     square,
     tanh,
@@ -157,11 +158,13 @@ class MultiHeadAttention(Module):
         if self.training and self.dropout_rate > 0.0:
             keep_prob = 1.0 - self.dropout_rate
             keep = self._dropout_rng.random((b, self.num_heads, sq, k.shape[1])) < keep_prob
-        ctx, weights = attention(qh, kh, vh, scale, keep, keep_prob)  # [B, H, Sq, hd]
+        ctx = attention(qh, kh, vh, scale, keep, keep_prob)  # [B, H, Sq, hd]
         merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, sq, self.model_dim))
         out = matmul(merged, self.wo)
         if return_weights:
-            return out, weights
+            # The fused op keeps no whole weight array; the reference softmax
+            # rebuilds the undropped weights.
+            return out, softmax(matmul(qh, transpose(kh, (0, 1, 3, 2))) * scale).data
         return out
 
 
@@ -205,11 +208,7 @@ class GaussianKanLayer(Module):
         x = as_tensor(x)
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"rbf expects last dim {self.in_dim}, got {x.shape}")
-        col = reshape(x, x.shape + (1,))  # [..., in_dim, 1]
-        diff = col - Tensor(self.centers)  # [..., in_dim, K]
-        scale = -1.0 / (2.0 * self.bandwidth * self.bandwidth)
-        feats = exp(square(diff) * scale)
-        return reshape(feats, x.shape[:-1] + (self.in_dim * self.num_centers,))
+        return gaussian_rbf(x, self.centers, self.bandwidth)
 
     def __call__(self, x) -> Tensor:
         x = as_tensor(x)

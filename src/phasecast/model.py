@@ -1,17 +1,21 @@
 """The forecasting model: RevIN, interleaved offset embedding, a shared
-RBF-KAN stage, per-offset self-attention over variate tokens, cross-attention
-fusion against the normalized input, and a linear head per variate.
+RBF-KAN stage, self-attention over variate tokens within each offset,
+cross-attention fusion against the normalized input, and a linear head per
+variate.
 
 Data flow for a [B, N, L] batch with O offsets and T = L // O:
 
     xn          = revin.normalize(x)                      [B, N, L]
-    m_u         = phase split of xn                       O x [B, N, T]
-    r_u         = kan(m_u)            (shared weights)    O x [B, N, T]
-    a_u         = r_u + attn_local(r_u, r_u, r_u)         O x [B, N, T]
-    a           = inverse interleave of a_u               [B, N, L]
-    h           = xn + attn_fusion(q=a, k=xn, v=xn)       [B, N, L]
+    m           = phase split of xn, offset-major         [O*B, N, T]
+    r           = kan(m)                                  [O*B, N, T]
+    a           = r + attn_local(r, r, r)                 [O*B, N, T]
+    a'          = inverse interleave of a                 [B, N, L]
+    h           = xn + attn_fusion(q=a', k=xn, v=xn)      [B, N, L]
     y           = head(h)                                 [B, N, F]
     out         = revin.denormalize(y)                    [B, N, F]
+
+The offsets ride in the batch axis, so the KAN and the local attention each
+run once over all O phases, and the KAN weights are shared by every offset.
 
 Attention runs over the N variate tokens in both stages (feature dim T
 locally, L in the fusion), so the model is equivariant to variate order.
@@ -20,9 +24,9 @@ Variants swap or drop stages:
   full         the pipeline above
   moti-only    KAN slot replaced by identity (attention kept)
   no-kan       same switch as moti-only
-  mote-only    both attention sublayers dropped: a_u = r_u, h = xn + a
+  mote-only    both attention sublayers dropped: a = r, h = xn + a'
   no-trans     attention sublayers replaced by identity passthroughs with
-               residuals kept: a_u = r_u + r_u, h = xn + a
+               residuals kept: a = r + r, h = xn + a'
   mlp-swap     KAN slot replaced by a linear-GELU-linear block
   conv1d-swap  KAN slot replaced by a same-padded 1-D convolution
 """
@@ -30,17 +34,19 @@ Variants swap or drop stages:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .layers import Conv1dBlock, GaussianKanLayer, Linear, MlpBlock, Module, MultiHeadAttention
-from .offsets import merge_offsets, split_offsets, OffsetBundle
+from .offsets import merge_offsets, split_offsets
 from .revin import RevIN
 from .tensor import Parameter, Tensor, as_tensor
 
 VARIANTS = ("full", "moti-only", "mote-only", "no-trans", "no-kan", "mlp-swap", "conv1d-swap")
+# Tags that build the same model, bit for bit, as another tag.
+SAME_MODEL_AS = {"no-kan": "moti-only"}
 
 _KAN_VARIANTS = ("full", "mote-only", "no-trans")
 _ATTENTION_VARIANTS = ("full", "moti-only", "no-kan", "mlp-swap", "conv1d-swap")
@@ -59,7 +65,6 @@ class ModelConfig:
     rbf_grid: int = 8
     rbf_span: tuple = (-2.0, 2.0)
     kan_prenorm: bool = True
-    per_offset_kan: bool = False
     mlp_hidden: int | None = None
     conv_kernel: int = 3
     dropout: float = 0.1
@@ -105,39 +110,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Build from a config or checkpoint dict; unknown keys raise TypeError."""
         d = dict(d)
+        # Version 1 configs and checkpoints may carry per_offset_kan. One KAN
+        # is now shared by all offsets, so only the value false still loads.
+        if d.pop("per_offset_kan", False):
+            raise ConfigError("per_offset_kan is no longer supported: "
+                              "one KAN is shared by all offsets")
         if "rbf_span" in d:
             d["rbf_span"] = tuple(d["rbf_span"])
         if "mlp_hidden" in d and d["mlp_hidden"] is not None:
             d["mlp_hidden"] = int(d["mlp_hidden"])
         return cls(**d)
-
-
-@dataclass
-class ForwardTrace:
-    """Intermediate activations captured in debug mode (numpy copies)."""
-
-    sub_repr: list = field(default_factory=list)      # O x [B, N, T], post KAN slot
-    sub_attended: list = field(default_factory=list)  # O x [B, N, T]
-    merged: np.ndarray | None = None                  # [B, N, L]
-    fused: np.ndarray | None = None                   # [B, N, L]
-
-    def summary(self) -> dict:
-        def stats(a):
-            return {
-                "shape": list(a.shape),
-                "mean": float(a.mean()),
-                "std": float(a.std()),
-                "min": float(a.min()),
-                "max": float(a.max()),
-            }
-
-        return {
-            "sub_repr": [stats(a) for a in self.sub_repr],
-            "sub_attended": [stats(a) for a in self.sub_attended],
-            "merged": stats(self.merged) if self.merged is not None else None,
-            "fused": stats(self.fused) if self.fused is not None else None,
-        }
 
 
 class InteractionBlock(Module):
@@ -160,29 +144,21 @@ class InteractionBlock(Module):
             self.attn_local = None
             self.attn_fusion = None
 
-    def _build_mixers(self, rng, sub_len, prefix):
+    def _build_mixers(self, rng, sub_len, prefix) -> list:
+        """The KAN slot: one module, or none where the variant makes it the identity."""
         cfg = self.config
-        variant = cfg.variant
-        if variant in ("moti-only", "no-kan"):
-            return None
-        count = cfg.offsets if (cfg.per_offset_kan and variant in _KAN_VARIANTS) else 1
-
-        def build(idx):
-            suffix = f".{idx}" if count > 1 else ""
-            if variant in _KAN_VARIANTS:
-                return GaussianKanLayer(
-                    sub_len, sub_len, rng, num_centers=cfg.rbf_grid, span=cfg.rbf_span,
-                    prenorm=cfg.kan_prenorm, name=f"{prefix}kan{suffix}")
-            if variant == "mlp-swap":
-                return MlpBlock(sub_len, rng, hidden=cfg.mlp_hidden, name=f"{prefix}mlp{suffix}")
-            if variant == "conv1d-swap":
-                return Conv1dBlock(cfg.conv_kernel, rng, name=f"{prefix}conv{suffix}")
-            raise ConfigError(f"unknown variant {variant!r}")
-
-        return [build(i) for i in range(count)]
+        if cfg.variant in _KAN_VARIANTS:
+            return [GaussianKanLayer(
+                sub_len, sub_len, rng, num_centers=cfg.rbf_grid, span=cfg.rbf_span,
+                prenorm=cfg.kan_prenorm, name=f"{prefix}kan")]
+        if cfg.variant == "mlp-swap":
+            return [MlpBlock(sub_len, rng, hidden=cfg.mlp_hidden, name=f"{prefix}mlp")]
+        if cfg.variant == "conv1d-swap":
+            return [Conv1dBlock(cfg.conv_kernel, rng, name=f"{prefix}conv")]
+        return []
 
     def modules(self) -> list[Module]:
-        mods = list(self.mixers) if self.mixers else []
+        mods = list(self.mixers)
         if self.attn_local is not None:
             mods.extend([self.attn_local, self.attn_fusion])
         return mods
@@ -203,41 +179,22 @@ class InteractionBlock(Module):
             mod.eval()
         return super().eval()
 
-    def _mix(self, sub: Tensor, index: int) -> Tensor:
-        if self.mixers is None:
-            return sub
-        mixer = self.mixers[index % len(self.mixers)]
-        return mixer(sub)
-
-    def forward(self, h: Tensor, trace: "ForwardTrace | None" = None) -> Tensor:
+    def forward(self, h: Tensor) -> Tensor:
         cfg = self.config
-        bundle = split_offsets(h, cfg.offsets)
-
-        mixed = [self._mix(sub, u) for u, sub in enumerate(bundle.subs)]
-        if trace is not None:
-            trace.sub_repr.extend(m.data.copy() for m in mixed)
+        stacked = split_offsets(h, cfg.offsets)  # [O*B, N, T]
+        mixed = self.mixers[0](stacked) if self.mixers else stacked
 
         if cfg.variant == "mote-only":
             attended = mixed
         elif cfg.variant == "no-trans":
-            attended = [m + m for m in mixed]
+            attended = mixed + mixed
         else:
-            attended = [m + self.attn_local(m, m, m) for m in mixed]
-        if trace is not None:
-            trace.sub_attended.extend(a.data.copy() for a in attended)
-
-        merged = merge_offsets(OffsetBundle(
-            offsets=cfg.offsets, source_length=cfg.lookback, subs=attended))
-        if trace is not None:
-            trace.merged = merged.data.copy()
+            attended = mixed + self.attn_local(mixed, mixed, mixed)
+        merged = merge_offsets(attended, cfg.offsets)
 
         if cfg.variant in ("mote-only", "no-trans"):
-            fused = h + merged
-        else:
-            fused = h + self.attn_fusion(merged, h, h)
-        if trace is not None:
-            trace.fused = fused.data.copy()
-        return fused
+            return h + merged
+        return h + self.attn_fusion(merged, h, h)
 
 
 class Forecaster(Module):
@@ -285,13 +242,12 @@ class Forecaster(Module):
 
     # ---- forward -----------------------------------------------------------
 
-    def forward(self, x, collect_trace: bool = False):
+    def forward(self, x) -> Tensor:
         """Map [B, N, L] history to a [B, N, F] forecast.
 
-        Returns the prediction, or (prediction, ForwardTrace) when
-        ``collect_trace`` is set. An array input is first copied into C order
-        if it is not already (window views are strided), so the forecast does
-        not depend on how the caller's batch is laid out in memory.
+        An array input is first copied into C order if it is not already
+        (window views are strided), so the forecast does not depend on how the
+        caller's batch is laid out in memory.
         """
         x = as_tensor(x if isinstance(x, Tensor) else np.ascontiguousarray(x))
         cfg = self.config
@@ -299,18 +255,13 @@ class Forecaster(Module):
             raise ConfigError(
                 f"expected input [B, {cfg.num_variates}, {cfg.lookback}], got {x.shape}"
             )
-        trace = ForwardTrace() if collect_trace else None
-
         h, state = self.revin.normalize(x)
         for block in self.blocks:
-            h = block.forward(h, trace)
-        out = self.revin.denormalize(self.head(h), state)
-        if trace is not None:
-            return out, trace
-        return out
+            h = block.forward(h)
+        return self.revin.denormalize(self.head(h), state)
 
-    def __call__(self, x, collect_trace: bool = False):
-        return self.forward(x, collect_trace=collect_trace)
+    def __call__(self, x) -> Tensor:
+        return self.forward(x)
 
     # ---- checkpointing ------------------------------------------------------
 

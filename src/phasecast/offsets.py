@@ -2,73 +2,47 @@
 
 A series of length L is divided into O sub-sequences by phase: sub u
 holds positions u, u+O, u+2O, ... so each sub-sequence is the original
-series downsampled by factor O starting at offset u. Merging stacks the
-sub-sequences back so that position u + t*O recovers sub u element t;
-the round trip is bit-exact.
+series downsampled by factor O starting at offset u. The O sub-sequences
+of a [B, N, L] batch are stacked offset-major into one [O*B, N, L // O]
+tensor (rows u*B .. u*B + B - 1 hold sub u), so every later stage treats
+the offsets as part of the batch. Merging puts element t of sub u back at
+position u + t*O; the round trip is bit-exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ConfigError
-from .tensor import ShapeError, Tensor, as_tensor, concat, reshape, strided_slice
+from .tensor import ShapeError, Tensor, as_tensor, reshape, transpose
 
 
 class OffsetConfigError(ConfigError):
     """Raised when the offset count does not divide the window length."""
 
 
-@dataclass
-class OffsetBundle:
-    """The O phase sub-sequences of one [B, N, L] window batch."""
-
-    offsets: int
-    source_length: int
-    subs: list = field(default_factory=list)  # each [B, N, L // offsets]
-    pad_length: int = 0  # left padding added when the pad mode rounded L up
-
-    @property
-    def sub_length(self) -> int:
-        return self.subs[0].shape[-1] if self.subs else 0
-
-
-def split_offsets(x, offsets: int, allow_pad: bool = False) -> OffsetBundle:
-    """Split [..., L] into ``offsets`` interleaved phase sub-sequences."""
+def split_offsets(x, offsets: int) -> Tensor:
+    """Stack the ``offsets`` phase sub-sequences of [B, N, L] into [O*B, N, L // O]."""
     x = as_tensor(x)
-    length = x.shape[-1]
+    if x.ndim != 3:
+        raise ShapeError(f"offset split expects [B, N, L], got {x.shape}")
+    batch, variates, length = x.shape
     if offsets < 1 or offsets > length:
         raise OffsetConfigError(f"offset count {offsets} invalid for length {length}")
-    pad = 0
     if length % offsets != 0:
-        if not allow_pad:
-            raise OffsetConfigError(
-                f"length {length} is not divisible by offset count {offsets}; "
-                f"enable padding or adjust the lookback"
-            )
-        padded = ((length + offsets - 1) // offsets) * offsets
-        pad = padded - length
-        # replicate the earliest value to the left so time order is intact
-        first = strided_slice(x, axis=-1, start=0, step=length)  # [..., 1]
-        x = concat([first] * pad + [x], axis=-1)
-        length = padded
-    subs = [strided_slice(x, axis=-1, start=u, step=offsets) for u in range(offsets)]
-    return OffsetBundle(offsets=offsets, source_length=length - pad, subs=subs, pad_length=pad)
+        raise OffsetConfigError(
+            f"length {length} is not divisible by offset count {offsets}; adjust the lookback"
+        )
+    sub_len = length // offsets
+    # Position u + t*O is element [t, u] of the [T, O] view of the time axis.
+    phases = transpose(reshape(x, (batch, variates, sub_len, offsets)), (3, 0, 1, 2))
+    return reshape(phases, (offsets * batch, variates, sub_len))
 
 
-def merge_offsets(bundle: OffsetBundle) -> Tensor:
-    """Inverse interleave: output position u + t*O takes sub u element t."""
-    if not bundle.subs:
-        raise ShapeError("cannot merge an empty bundle")
-    first_shape = bundle.subs[0].shape
-    for sub in bundle.subs:
-        if sub.shape != first_shape:
-            raise ShapeError(f"inconsistent sub-sequence shapes: {sub.shape} vs {first_shape}")
-    sub_len = first_shape[-1]
-    lead = first_shape[:-1]
-    columns = [reshape(sub, lead + (sub_len, 1)) for sub in bundle.subs]
-    stacked = concat(columns, axis=-1)  # [..., T, O]; row-major flatten gives t*O + u
-    merged = reshape(stacked, lead + (sub_len * bundle.offsets,))
-    if bundle.pad_length:
-        merged = strided_slice(merged, axis=-1, start=bundle.pad_length, step=1)
-    return merged
+def merge_offsets(stacked, offsets: int) -> Tensor:
+    """Inverse of ``split_offsets``: [O*B, N, T] back to [B, N, T*O]."""
+    stacked = as_tensor(stacked)
+    if stacked.ndim != 3 or offsets < 1 or stacked.shape[0] % offsets != 0:
+        raise ShapeError(f"cannot merge {stacked.shape} as {offsets} stacked offsets")
+    rows, variates, sub_len = stacked.shape
+    batch = rows // offsets
+    phases = transpose(reshape(stacked, (offsets, batch, variates, sub_len)), (1, 2, 3, 0))
+    return reshape(phases, (batch, variates, sub_len * offsets))

@@ -73,5 +73,6 @@ class RevIN(Module):
             )
         if self.affine:
             gamma, beta = self._affine_views()
-            y = (y - beta) / gamma
+            # The eps^2 floor (as in reference RevIN) keeps gamma = 0 finite.
+            y = (y - beta) / (gamma + self.eps ** 2)
         return y * Tensor(state.std) + Tensor(state.mean)

@@ -440,44 +440,6 @@ def transpose(a, *axes) -> Tensor:
     return _make_output(data, (a,), backward_fn, "transpose")
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat of no tensors")
-    ndim = tensors[0].ndim
-    ax = axis % ndim
-    data = np.concatenate([t.data for t in tensors], axis=ax)
-    sizes = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward_fn(g):
-        pieces = np.split(g, offsets, axis=ax)
-        for t, piece in zip(tensors, pieces):
-            t._accumulate(piece)
-
-    return _make_output(data, tuple(tensors), backward_fn, "concat")
-
-
-def strided_slice(a, axis: int, start: int = 0, step: int = 1) -> Tensor:
-    """Take elements start, start+step, ... along one axis."""
-    a = as_tensor(a)
-    ax = axis % a.ndim
-    dim = a.shape[ax]
-    if step <= 0:
-        raise ShapeError(f"strided_slice step must be positive, got {step}")
-    if not 0 <= start < dim:
-        raise ShapeError(f"strided_slice start {start} out of range for axis size {dim}")
-    index = tuple(slice(None) if i != ax else slice(start, None, step) for i in range(a.ndim))
-    data = np.ascontiguousarray(a.data[index])
-
-    def backward_fn(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        a._accumulate(full)
-
-    return _make_output(data, (a,), backward_fn, "strided_slice")
-
-
 # ---- linear algebra -------------------------------------------------------
 
 
@@ -516,55 +478,113 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make_output(data, (a,), backward_fn, "softmax")
 
 
-def attention(q, k, v, scale: float, keep=None, keep_prob: float = 1.0):
+# Bytes of softmax weights in one attention block. ``attention`` works through
+# its flattened leading axes in blocks of about this size, so its working set
+# stays bounded however large the batch is.
+ATTENTION_BLOCK_BYTES = 8 * 2**20
+
+
+def attention(q, k, v, scale: float, keep=None, keep_prob: float = 1.0) -> Tensor:
     """Fused scaled dot-product attention over the last two axes.
 
     Computes ``softmax(q @ k^T * scale) @ v`` for q ``[..., Sq, d]`` and
-    k, v ``[..., Skv, d]``. ``keep`` is an optional boolean dropout mask
-    shaped like the ``[..., Sq, Skv]`` weights; kept weights are scaled by
-    ``1 / keep_prob`` and dropped ones are zeroed. Returns the output
-    ``[..., Sq, d]`` and the undropped softmax weights (read-only).
+    k, v ``[..., Skv, d]`` with the same leading axes. ``keep`` is an
+    optional boolean dropout mask shaped like the ``[..., Sq, Skv]`` weights;
+    kept weights are scaled by ``1 / keep_prob`` and dropped ones are zeroed.
 
-    The weights are built in place in one array. Backward keeps only q, k,
-    v, the weights and the boolean mask, and recomputes the dropped weights.
+    The flattened leading axes are taken in blocks whose weights fill about
+    ``ATTENTION_BLOCK_BYTES``, each built in place in one array. Every matrix
+    is computed on its own, so the block size changes no value. Under
+    ``no_grad`` a block's weights are freed before the next block is built;
+    otherwise backward keeps q, k, v, the per-block weights and the boolean
+    mask, and recomputes the dropped weights.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or q.shape[-1] != k.shape[-1] or k.shape != v.shape:
         raise ShapeError(f"attention needs q [..., Sq, d] and k, v [..., Skv, d]; "
                          f"got {q.shape}, {k.shape}, {v.shape}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-            weights *= scale
-    except ValueError as err:
-        raise ShapeError(f"attention batch dimensions incompatible: {q.shape} vs {k.shape}: "
-                         f"{err}") from None
-    _ensure_finite(weights, "attention")
-    if keep is not None and keep.shape != weights.shape:
-        raise ShapeError(f"dropout mask shape {keep.shape} differs from weights {weights.shape}")
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    weights.flags.writeable = False
+    if q.shape[:-2] != k.shape[:-2]:
+        raise ShapeError(f"attention batch dimensions differ: {q.shape} vs {k.shape}")
+    lead, (sq, d), skv = q.shape[:-2], q.shape[-2:], k.shape[-2]
+    if keep is not None and keep.shape != lead + (sq, skv):
+        raise ShapeError(f"dropout mask shape {keep.shape} differs from weights "
+                         f"{lead + (sq, skv)}")
+    count = int(np.prod(lead))
+
+    def flat(a):
+        return a.reshape((count,) + a.shape[-2:])
+
+    keeps = None if keep is None else flat(keep)
     # The value of a kept mask entry, in the weights' dtype.
-    inv_keep = weights.dtype.type(1.0) / keep_prob
+    inv_keep = q.data.dtype.type(1.0) / keep_prob
+    rows = max(1, ATTENTION_BLOCK_BYTES // max(1, sq * skv * q.data.itemsize))
+    blocks = [slice(lo, lo + rows) for lo in range(0, count, rows)]
+    taped = _GRAD_MODE.enabled and any(t.requires_grad for t in (q, k, v))
 
-    def dropped():
-        return weights if keep is None else weights * (keep * inv_keep)
+    def dropped(weights, block):
+        return weights if keep is None else weights * (keeps[block] * inv_keep)
 
-    data = np.matmul(dropped(), v.data)
+    qs, ks, vs = flat(q.data), flat(k.data), flat(v.data)
+    out = np.empty((count, sq, d), dtype=q.data.dtype)
+    kept = []
+    for block in blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.matmul(qs[block], np.swapaxes(ks[block], -1, -2))
+            weights *= scale
+        _ensure_finite(weights, "attention")
+        weights -= weights.max(axis=-1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        np.matmul(dropped(weights, block), vs[block], out=out[block])
+        if taped:
+            kept.append(weights)
+        del weights  # else two blocks' weights would be alive at the next matmul
 
     def backward_fn(g):
-        gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        if keep is not None:
-            gw *= keep * inv_keep
-        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
-        gs *= scale
-        q._accumulate(np.matmul(gs, k.data))
-        k._accumulate(np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2))
-        v._accumulate(np.matmul(np.swapaxes(dropped(), -1, -2), g))
+        qs, ks, vs, gs = flat(q.data), flat(k.data), flat(v.data), flat(g)
+        gq, gk, gv = np.empty_like(qs), np.empty_like(ks), np.empty_like(vs)
+        for block, weights in zip(blocks, kept):
+            gw = np.matmul(gs[block], np.swapaxes(vs[block], -1, -2))
+            if keep is not None:
+                gw *= keeps[block] * inv_keep
+            gscores = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+            gscores *= scale
+            np.matmul(gscores, ks[block], out=gq[block])
+            gk[block] = np.swapaxes(
+                np.matmul(np.swapaxes(qs[block], -1, -2), gscores), -1, -2)
+            np.matmul(np.swapaxes(dropped(weights, block), -1, -2), gs[block], out=gv[block])
+        q._accumulate(gq.reshape(q.shape))
+        k._accumulate(gk.reshape(k.shape))
+        v._accumulate(gv.reshape(v.shape))
 
-    return _make_output(data, (q, k, v), backward_fn, "attention"), weights
+    return _make_output(out.reshape(q.shape), (q, k, v), backward_fn, "attention")
+
+
+def gaussian_rbf(x, centers: np.ndarray, bandwidth: float) -> Tensor:
+    """Expand ``[..., D]`` to ``[..., D * K]`` Gaussian basis activations.
+
+    Feature ``d * K + c`` is ``exp(-(x_d - centers_c)^2 / (2 h^2))`` for the
+    K fixed ``centers`` and bandwidth h. The features are built in place in
+    one array; backward keeps x and the features, and uses
+    ``d phi / dx = phi * (x - c) * (-1 / h^2)``, multiplied out in the order
+    of the sub/square/mul/exp composition it replaces, so both give the same
+    gradient bit for bit.
+    """
+    x = as_tensor(x)
+    scale = -1.0 / (2.0 * bandwidth * bandwidth)
+    feats = x.data[..., None] - centers  # [..., D, K]
+    feats *= feats
+    feats *= scale
+    np.exp(feats, out=feats)
+
+    def backward_fn(g):
+        gx = g.reshape(feats.shape) * feats
+        gx *= scale
+        gx *= 2.0
+        gx *= x.data[..., None] - centers
+        x._accumulate(gx.sum(axis=-1))
+
+    return _make_output(feats.reshape(x.shape[:-1] + (-1,)), (x,), backward_fn, "rbf")
 
 
 def conv1d_same(x, w, b) -> Tensor:

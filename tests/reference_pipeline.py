@@ -89,5 +89,5 @@ def reference_forward(model, x):
     # linear head then inverse normalization
     y = fused @ model.head.weight.data + model.head.bias.data
     if cfg.revin_affine:
-        y = (y - beta) / gamma
+        y = (y - beta) / (gamma + model.revin.eps ** 2)
     return y * std + mean

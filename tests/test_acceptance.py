@@ -147,13 +147,14 @@ class TestCriterion2OffsetLosslessness:
             offsets = int(rng.integers(1, 13))
             length = offsets * int(rng.integers(1, 13))
             x = rng.standard_normal((2, 3, length))
-            bundle = split_offsets(Tensor(x), offsets)
+            stacked = split_offsets(Tensor(x), offsets)
             sub_len = length // offsets
+            subs = stacked.data.reshape(offsets, 2, 3, sub_len)  # offset-major
             for u in range(offsets):
                 for t in range(sub_len):
-                    assert bundle.subs[u].data[0, 0, t] == x[0, 0, u + t * offsets]
-                np.testing.assert_array_equal(bundle.subs[u].data, x[..., u::offsets])
-            merged = merge_offsets(bundle)
+                    assert subs[u][0, 0, t] == x[0, 0, u + t * offsets]
+                np.testing.assert_array_equal(subs[u], x[..., u::offsets])
+            merged = merge_offsets(stacked, offsets)
             assert np.array_equal(merged.data, x), (offsets, length)
         report_line(2, "offset split/merge losslessness", True, "(200 random (L, O) pairs)")
 

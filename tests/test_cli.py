@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from phasecast import experiment
 from phasecast.cli import main
 from phasecast.model import VARIANTS
 from phasecast.synthetic import sine_mixture, write_series_csv
@@ -114,6 +115,28 @@ class TestAblateCommand:
         with open(out / "table.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + len(VARIANTS)
+
+
+    def test_aliased_variants_train_once(self, tmp_path, tiny_config, monkeypatch):
+        # no-kan builds the same model as moti-only, so 7 rows need 6 models.
+        built = []
+
+        class CountingForecaster(experiment.Forecaster):
+            def __init__(self, config):
+                built.append(config.variant)
+                super().__init__(config)
+
+        monkeypatch.setattr(experiment, "Forecaster", CountingForecaster)
+        config_path, _ = tiny_config
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(config_path), "--out", str(out)]) == 0
+        runs = {run["variant"]: run for run in read_report(out)["runs"]}
+        assert len(runs) == len(VARIANTS) == 7
+        assert len(built) == 6 and "no-kan" not in built
+        assert runs["no-kan"]["metrics"] == runs["moti-only"]["metrics"]
+        with open(out / "table.csv") as fh:
+            rows = {row[1]: row[2:] for row in csv.reader(fh)}
+        assert rows["no-kan"] == rows["moti-only"]
 
 
 class TestGradcheckCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phasecast.errors import ConfigError
+from phasecast.experiment import ExperimentConfig
 from phasecast.model import Forecaster, ModelConfig, VARIANTS
 from phasecast.training import grad_check_model
 from reference_pipeline import reference_forward
@@ -29,21 +30,6 @@ class TestShapes:
         x = np.random.default_rng(0).standard_normal((2, 7, 96))
         out = model.forward(x)
         assert out.shape == (2, 7, 96)
-
-    def test_trace_shapes(self):
-        cfg = small_config()
-        model = Forecaster(cfg).eval()
-        x = np.random.default_rng(1).standard_normal((3, 2, 8))
-        out, trace = model.forward(x, collect_trace=True)
-        assert out.shape == (3, 2, 3)
-        assert len(trace.sub_repr) == 2
-        assert all(a.shape == (3, 2, 4) for a in trace.sub_repr)
-        assert all(a.shape == (3, 2, 4) for a in trace.sub_attended)
-        assert trace.merged.shape == (3, 2, 8)
-        assert trace.fused.shape == (3, 2, 8)
-        summary = trace.summary()
-        json.dumps(summary)  # must be serializable for the debug dump
-        assert summary["merged"]["shape"] == [3, 2, 8]
 
     def test_variants_share_output_shape(self):
         x = np.random.default_rng(2).standard_normal((2, 2, 8))
@@ -128,12 +114,6 @@ class TestForwardSemantics:
         b = Forecaster(small_config()).eval().forward(x).data
         assert np.array_equal(a, b)
 
-    def test_per_offset_kan_flag(self):
-        model = Forecaster(small_config(per_offset_kan=True)).eval()
-        assert len(model.blocks[0].mixers) == 2
-        names = [p.name for p in model.parameters()]
-        assert len(names) == len(set(names))
-
     def test_stacked_blocks(self):
         model = Forecaster(small_config(depth=2)).eval()
         assert len(model.blocks) == 2
@@ -200,3 +180,38 @@ class TestCheckpoint:
         state.pop(sorted(state)[0])
         with pytest.raises(ConfigError, match="missing"):
             model.load_state_dict(state)
+
+
+class TestRetiredPerOffsetKan:
+    """Version 1 configs and checkpoints may carry per_offset_kan; only false loads."""
+
+    def model_config(self, value):
+        config = ExperimentConfig.from_dict({
+            "dataset": {"path": "series.csv"}, "lookback": 8, "horizons": [3],
+            "model": {"offsets": 2, "num_heads": 2, "rbf_grid": 3, "dropout": 0.0,
+                      "per_offset_kan": value},
+        })
+        return config.model_config(num_variates=2, horizon=3)
+
+    def checkpoint(self, tmp_path, value):
+        path = tmp_path / "v1.json"
+        model = Forecaster(small_config())
+        model.save_checkpoint(path)
+        payload = json.loads(path.read_text())
+        payload["config"]["per_offset_kan"] = value
+        path.write_text(json.dumps(payload))
+        return model, path
+
+    def test_false_loads(self, tmp_path):
+        assert self.model_config(False) == small_config()
+        model, path = self.checkpoint(tmp_path, False)
+        x = np.random.default_rng(12).standard_normal((2, 2, 8))
+        restored = Forecaster.load_checkpoint(path).eval()
+        np.testing.assert_array_equal(restored.forward(x).data, model.eval().forward(x).data)
+
+    def test_true_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="per_offset_kan"):
+            self.model_config(True)
+        _, path = self.checkpoint(tmp_path, True)
+        with pytest.raises(ConfigError, match="per_offset_kan"):
+            Forecaster.load_checkpoint(path)

@@ -86,6 +86,20 @@ class TestDenormalize:
         with pytest.raises(ShapeError):
             revin.denormalize(Tensor(np.zeros((2, 2, 4))), state)
 
+    def test_zero_gamma_stays_finite(self):
+        # denormalize divides by gamma + eps^2, so a zero gamma is not a division by zero.
+        rng = np.random.default_rng(9)
+        revin = RevIN(2, affine=True)
+        revin.gamma.data[:] = 0.0
+        x = rng.standard_normal((2, 2, 8))
+        _, state = revin.normalize(Tensor(x))
+        y = Tensor(rng.standard_normal((2, 2, 4)))
+        out = revin.denormalize(y, state)
+        assert np.all(np.isfinite(out.data))
+        mse_loss(out, Tensor(rng.standard_normal((2, 2, 4)))).backward()
+        for p in revin.parameters():
+            assert np.all(np.isfinite(p.grad)), p.name
+
 
 class TestAffineGradients:
     @pytest.mark.parametrize("seed", range(5))

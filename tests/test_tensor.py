@@ -1,20 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasecast import tensor
 from phasecast.tensor import (
     NonFiniteError,
     Parameter,
     ShapeError,
     Tensor,
     attention,
-    concat,
     conv1d_same,
     matmul,
     no_grad,
     softmax,
-    strided_slice,
     transpose,
 )
 
@@ -146,7 +147,7 @@ class TestFusedAttention:
         params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
 
         def loss_fn():
-            out, _ = attention(*params, 0.7, keep, 0.7 if masked else 1.0)
+            out = attention(*params, 0.7, keep, 0.7 if masked else 1.0)
             return (out * Tensor(upstream)).sum()
 
         loss_fn().backward()
@@ -154,12 +155,32 @@ class TestFusedAttention:
             fd = finite_difference(loss_fn, p)
             assert np.max(np.abs(p.grad - fd)) < 1e-7
 
-    def test_weights_are_read_only_row_stochastic(self):
-        q, k, v, _, _ = attention_inputs(1, 1, 2, 3, 5, 2, False)
-        _, weights = attention(Tensor(q), Tensor(k), Tensor(v), 1.0)
-        np.testing.assert_allclose(weights.sum(axis=-1), np.ones((1, 2, 3)), atol=1e-12)
-        with pytest.raises(ValueError):
-            weights[...] = 0.0
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_block_size_changes_no_bit(self, monkeypatch, masked):
+        q, k, v, upstream, keep = attention_inputs(6, 3, 2, 5, 4, 3, masked)
+        results = []
+        for block_bytes in (tensor.ATTENTION_BLOCK_BYTES, 1):  # one block, one row per block
+            monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", block_bytes)
+            params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
+            out = attention(*params, 0.6, keep, 0.7 if masked else 1.0)
+            (out * Tensor(upstream)).sum().backward()
+            results.append([out.data] + [p.grad for p in params])
+        for whole, rowwise in zip(*results):
+            assert np.array_equal(whole, rowwise)
+
+    def test_inference_memory_bounded_by_block(self):
+        # Whole weights for these inputs would take 16*8*321*321*8 bytes, ~105 MB.
+        rng = np.random.default_rng(7)
+        q, k, v = (Tensor(rng.standard_normal((16, 8, 321, 3))) for _ in range(3))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = attention(q, k, v, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (16, 8, 321, 3)
+        assert peak < 2 * tensor.ATTENTION_BLOCK_BYTES, peak
 
     def test_non_finite_score_names_attention(self):
         # One score overflows to -inf; the softmax and the output stay finite.
@@ -251,40 +272,6 @@ class TestBackward:
 class TestElementwise:
     def test_exp_zero(self):
         assert Tensor(0.0).exp().item() == 1.0
-
-    def test_strided_slice_enumeration(self):
-        x = Tensor(np.arange(8.0))
-        out = strided_slice(x, axis=0, start=1, step=2)
-        np.testing.assert_array_equal(out.data, [1.0, 3.0, 5.0, 7.0])
-
-    def test_strided_slice_rejects_zero_step(self):
-        with pytest.raises(ShapeError):
-            strided_slice(Tensor(np.arange(4.0)), axis=0, start=0, step=0)
-
-    def test_strided_slice_rejects_out_of_range_start(self):
-        with pytest.raises(ShapeError):
-            strided_slice(Tensor(np.arange(4.0)), axis=0, start=4, step=1)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_concat_then_slice_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        shape = tuple(rng.integers(1, 5, size=3))
-        parts = [Tensor(rng.standard_normal(shape)) for _ in range(3)]
-        axis = int(rng.integers(0, 3))
-        joined = concat(parts, axis=axis)
-        width = shape[axis]
-        for i, part in enumerate(parts):
-            idx = tuple(
-                slice(None) if d != axis else slice(i * width, (i + 1) * width)
-                for d in range(3)
-            )
-            np.testing.assert_array_equal(joined.data[idx], part.data)
-
-    def test_strided_slice_gradient_scatters(self):
-        x = Parameter(np.arange(8.0), "x")
-        out = strided_slice(x, axis=0, start=1, step=2)
-        out.sum().backward()
-        np.testing.assert_array_equal(x.grad, [0, 1, 0, 1, 0, 1, 0, 1])
 
     def test_reshape_roundtrip_is_bit_exact(self):
         rng = np.random.default_rng(0)

@@ -154,11 +154,8 @@ class MultiHeadAttention(Module):
         vh = self._split_heads(matmul(v, self.wv))  # [B, H, Skv, hd]
 
         scale = 1.0 / np.sqrt(float(self.head_dim))
-        keep, keep_prob = None, 1.0
-        if self.training and self.dropout_rate > 0.0:
-            keep_prob = 1.0 - self.dropout_rate
-            keep = self._dropout_rng.random((b, self.num_heads, sq, k.shape[1])) < keep_prob
-        ctx = attention(qh, kh, vh, scale, keep, keep_prob)  # [B, H, Sq, hd]
+        rng = self._dropout_rng if self.training and self.dropout_rate > 0.0 else None
+        ctx = attention(qh, kh, vh, scale, rng, 1.0 - self.dropout_rate)  # [B, H, Sq, hd]
         merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, sq, self.model_dim))
         out = matmul(merged, self.wo)
         if return_weights:

@@ -50,6 +50,20 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
+@contextlib.contextmanager
+def using_dtype(name: str):
+    """Select ``name`` as the default dtype inside the block.
+
+    The dtype in force before comes back on exit, also when the block raises.
+    """
+    previous = np.dtype(_DEFAULT_DTYPE).name
+    set_default_dtype(name)
+    try:
+        yield
+    finally:
+        set_default_dtype(previous)
+
+
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{op} produced non-finite values")
@@ -478,26 +492,42 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make_output(data, (a,), backward_fn, "softmax")
 
 
-# Bytes of softmax weights in one attention block. ``attention`` works through
+# Bytes of exp weights in one attention block. ``attention`` works through
 # its flattened leading axes in blocks of about this size, so its working set
 # stays bounded however large the batch is.
 ATTENTION_BLOCK_BYTES = 8 * 2**20
 
 
-def attention(q, k, v, scale: float, keep=None, keep_prob: float = 1.0) -> Tensor:
+def _abs_max(a: np.ndarray) -> float:
+    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+
+
+def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor:
     """Fused scaled dot-product attention over the last two axes.
 
     Computes ``softmax(q @ k^T * scale) @ v`` for q ``[..., Sq, d]`` and
-    k, v ``[..., Skv, d]`` with the same leading axes. ``keep`` is an
-    optional boolean dropout mask shaped like the ``[..., Sq, Skv]`` weights;
-    kept weights are scaled by ``1 / keep_prob`` and dropped ones are zeroed.
+    k, v ``[..., Skv, d]`` with the same leading axes. With a generator
+    ``rng`` the weights get dropout: each is kept where a draw
+    ``rng.random() < keep_prob`` and then scaled by ``1 / keep_prob``. The
+    draws are made block by block in order, so they read the generator's
+    stream as one ``rng.random(weights_shape) < keep_prob`` would. Without
+    ``rng``, ``keep_prob`` is ignored.
 
     The flattened leading axes are taken in blocks whose weights fill about
-    ``ATTENTION_BLOCK_BYTES``, each built in place in one array. Every matrix
-    is computed on its own, so the block size changes no value. Under
-    ``no_grad`` a block's weights are freed before the next block is built;
-    otherwise backward keeps q, k, v, the per-block weights and the boolean
-    mask, and recomputes the dropped weights.
+    ``ATTENTION_BLOCK_BYTES``. No ``[Sq, Skv]`` array is scaled or normalized:
+    a block keeps its exp weights ``E = exp(s - rowmax(s))`` unnormalized, and
+    the per-row factor ``coef = (1 / keep_prob) / rowsum(E)`` multiplies the
+    ``[Sq, d]`` output instead (Rabe & Staats 2021). Every matrix is computed
+    on its own, so the block size changes no value, and taped and untaped
+    calls run the same arithmetic. Under ``no_grad`` each block's arrays are
+    reused by the next; otherwise backward keeps E, coef and the boolean
+    masks, and uses ``D = rowsum(dO * O)`` for the softmax term (Dao et al.
+    2022), so the normalized weights are never built.
+
+    The scores are scanned for non-finite values only when the
+    Cauchy-Schwarz bound ``d * max|q * scale| * max|k|`` on them reaches the
+    square root of the dtype's largest value; below it no score can
+    overflow. The error names ``attention``.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or q.shape[-1] != k.shape[-1] or k.shape != v.shape:
@@ -506,53 +536,75 @@ def attention(q, k, v, scale: float, keep=None, keep_prob: float = 1.0) -> Tenso
     if q.shape[:-2] != k.shape[:-2]:
         raise ShapeError(f"attention batch dimensions differ: {q.shape} vs {k.shape}")
     lead, (sq, d), skv = q.shape[:-2], q.shape[-2:], k.shape[-2]
-    if keep is not None and keep.shape != lead + (sq, skv):
-        raise ShapeError(f"dropout mask shape {keep.shape} differs from weights "
-                         f"{lead + (sq, skv)}")
     count = int(np.prod(lead))
+    dtype = q.data.dtype
+    if rng is None:
+        keep_prob = 1.0
+    scale, inv_keep = dtype.type(scale), dtype.type(1.0 / keep_prob)
 
     def flat(a):
         return a.reshape((count,) + a.shape[-2:])
 
-    keeps = None if keep is None else flat(keep)
-    # The value of a kept mask entry, in the weights' dtype.
-    inv_keep = q.data.dtype.type(1.0) / keep_prob
-    rows = max(1, ATTENTION_BLOCK_BYTES // max(1, sq * skv * q.data.itemsize))
-    blocks = [slice(lo, lo + rows) for lo in range(0, count, rows)]
+    with np.errstate(over="ignore"):
+        qs = flat(q.data) * scale
+    ks, vs = flat(k.data), flat(v.data)
+    # Cauchy-Schwarz with |row| <= sqrt(d) * max|entry| bounds every score.
+    bound = d * _abs_max(qs) * _abs_max(ks)
+    scan = not bound < float(np.finfo(dtype).max) ** 0.5
+    rows = max(1, ATTENTION_BLOCK_BYTES // max(1, sq * skv * dtype.itemsize))
+    starts = range(0, count, rows)
     taped = _GRAD_MODE.enabled and any(t.requires_grad for t in (q, k, v))
+    shape = (min(rows, count), sq, skv)
+    reused = None if taped else np.empty(shape, dtype)  # E, when no block is kept
+    if rng is not None:
+        draws = np.empty(shape, np.float64)  # the generator's stream is float64
+        dropped = draws if dtype == np.float64 else np.empty(shape, dtype)  # E * mask
+        reused_mask = None if taped else np.empty(shape, bool)
 
-    def dropped(weights, block):
-        return weights if keep is None else weights * (keeps[block] * inv_keep)
-
-    qs, ks, vs = flat(q.data), flat(k.data), flat(v.data)
-    out = np.empty((count, sq, d), dtype=q.data.dtype)
-    kept = []
-    for block in blocks:
+    out = np.empty((count, sq, d), dtype)
+    exps, coefs, masks = [], [], []  # kept per block for backward
+    for lo in starts:
+        block, n = slice(lo, lo + rows), min(rows, count - lo)
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = np.matmul(qs[block], np.swapaxes(ks[block], -1, -2))
-            weights *= scale
-        _ensure_finite(weights, "attention")
-        weights -= weights.max(axis=-1, keepdims=True)
-        np.exp(weights, out=weights)
-        weights /= weights.sum(axis=-1, keepdims=True)
-        np.matmul(dropped(weights, block), vs[block], out=out[block])
+            e = np.matmul(qs[block], np.swapaxes(ks[block], -1, -2),
+                          out=None if taped else reused[:n])
+        if scan:
+            _ensure_finite(e, "attention")
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        coef = inv_keep / e.sum(axis=-1, keepdims=True)
+        mask, e_kept = None, e
+        if rng is not None:
+            rng.random(out=draws[:n])
+            mask = np.less(draws[:n], keep_prob, out=None if taped else reused_mask[:n])
+            e_kept = np.multiply(e, mask, out=dropped[:n])
+        np.matmul(e_kept, vs[block], out=out[block])
+        out[block] *= coef
         if taped:
-            kept.append(weights)
-        del weights  # else two blocks' weights would be alive at the next matmul
+            exps.append(e)
+            coefs.append(coef)
+            masks.append(mask)
 
     def backward_fn(g):
         qs, ks, vs, gs = flat(q.data), flat(k.data), flat(v.data), flat(g)
         gq, gk, gv = np.empty_like(qs), np.empty_like(ks), np.empty_like(vs)
-        for block, weights in zip(blocks, kept):
-            gw = np.matmul(gs[block], np.swapaxes(vs[block], -1, -2))
-            if keep is not None:
-                gw *= keeps[block] * inv_keep
-            gscores = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
-            gscores *= scale
-            np.matmul(gscores, ks[block], out=gq[block])
-            gk[block] = np.swapaxes(
-                np.matmul(np.swapaxes(qs[block], -1, -2), gscores), -1, -2)
-            np.matmul(np.swapaxes(dropped(weights, block), -1, -2), gs[block], out=gv[block])
+        buf = np.empty(shape, dtype)  # E * mask, then the score gradient
+        for lo, e, coef, mask in zip(starts, exps, coefs, masks):
+            block, n = slice(lo, lo + rows), len(e)
+            g_b = gs[block]
+            e_kept = e if mask is None else np.multiply(e, mask, out=buf[:n])
+            np.matmul(np.swapaxes(e_kept, -1, -2), g_b * coef, out=gv[block])
+            x = np.matmul(g_b, np.swapaxes(vs[block], -1, -2), out=buf[:n])
+            if mask is not None:
+                x *= mask
+            dsum = (g_b * out[block]).sum(axis=-1, keepdims=True)
+            dsum *= keep_prob
+            x -= dsum
+            x *= e
+            coef_scale = coef * scale
+            np.matmul(x, ks[block], out=gq[block])
+            gq[block] *= coef_scale
+            np.matmul(np.swapaxes(x, -1, -2), qs[block] * coef_scale, out=gk[block])
         q._accumulate(gq.reshape(q.shape))
         k._accumulate(gk.reshape(k.shape))
         v._accumulate(gv.reshape(v.shape))

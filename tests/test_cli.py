@@ -3,12 +3,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from phasecast import experiment
 from phasecast.cli import main
+from phasecast.errors import DataError
 from phasecast.model import VARIANTS
 from phasecast.synthetic import sine_mixture, write_series_csv
+from phasecast.tensor import default_dtype, set_default_dtype
 
 
 @pytest.fixture
@@ -248,3 +251,31 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert (tmp_path / "s" / "sine_mixture.csv").exists()
+
+
+class TestPrecisionIsRestored:
+    def test_runs_put_back_the_dtype_they_found(self, tmp_path, tiny_config, monkeypatch):
+        _, raw = tiny_config
+        single = experiment.ExperimentConfig.from_dict(
+            {**raw, "model": {**raw["model"], "precision": "float32"}})
+        experiment.run_train(single, tmp_path / "out")
+        assert default_dtype() is np.float64
+
+        seen = []
+
+        def failing_check(model, x, y, tolerance):
+            seen.append(default_dtype())
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(experiment, "grad_check_model", failing_check)
+        set_default_dtype("float32")
+        try:
+            with pytest.raises(RuntimeError):
+                experiment.run_gradcheck()
+            assert seen == [np.float64] and default_dtype() is np.float32
+            double = experiment.ExperimentConfig.from_dict(raw)
+            with pytest.raises(DataError):
+                experiment.run_eval(double, tmp_path / "fresh")
+            assert default_dtype() is np.float32
+        finally:
+            set_default_dtype("float64")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,13 @@ from phasecast.tensor import (
     Tensor,
     attention,
     conv1d_same,
+    exp,
+    gaussian_rbf,
     matmul,
     no_grad,
+    reshape,
     softmax,
+    square,
     transpose,
 )
 
@@ -104,22 +109,39 @@ class TestSoftmax:
         assert np.max(np.abs(p.grad - fd)) < 1e-7
 
 
-def composed_attention(q, k, v, scale, keep=None, keep_prob=1.0):
-    """The unfused tape composition the fused op must reproduce."""
+def composed_attention(q, k, v, scale, rng=None, keep_prob=1.0):
+    """The unfused tape composition the fused op must reproduce.
+
+    Its dropout mask is one whole draw from ``rng``.
+    """
     weights = softmax(matmul(q, transpose(k, (0, 1, 3, 2))) * scale, axis=-1)
-    if keep is not None:
+    if rng is not None:
+        keep = rng.random(weights.shape) < keep_prob
         weights = weights * Tensor(keep.astype(np.float64) / keep_prob)
     return matmul(weights, v)
 
 
-def attention_inputs(seed, batch, heads, sq, skv, hd, masked):
+def attention_inputs(seed, batch, heads, sq, skv, hd):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((batch, heads, sq, hd))
     k = rng.standard_normal((batch, heads, skv, hd))
     v = rng.standard_normal((batch, heads, skv, hd))
     upstream = rng.standard_normal((batch, heads, sq, hd))
-    keep = rng.random((batch, heads, sq, skv)) < 0.7 if masked else None
-    return q, k, v, upstream, keep
+    return q, k, v, upstream
+
+
+def dropout_rng(seed, masked):
+    """A fresh dropout generator for ``seed``, or None without dropout."""
+    return np.random.default_rng((seed, 1)) if masked else None
+
+
+@pytest.fixture
+def float32():
+    tensor.set_default_dtype("float32")
+    try:
+        yield
+    finally:
+        tensor.set_default_dtype("float64")
 
 
 class TestFusedAttention:
@@ -128,13 +150,13 @@ class TestFusedAttention:
            sq=st.integers(1, 6), skv=st.integers(1, 6), hd=st.integers(1, 4),
            masked=st.booleans())
     def test_matches_unfused_composition(self, seed, batch, heads, sq, skv, hd, masked):
-        q, k, v, upstream, keep = attention_inputs(seed, batch, heads, sq, skv, hd, masked)
+        q, k, v, upstream = attention_inputs(seed, batch, heads, sq, skv, hd)
         keep_prob = 0.7 if masked else 1.0
         scale = 1.0 / np.sqrt(hd)
         results = []
         for op in (attention, composed_attention):
             params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
-            out = op(*params, scale, keep, keep_prob)
+            out = op(*params, scale, dropout_rng(seed, masked), keep_prob)
             out = out[0] if isinstance(out, tuple) else out
             (out * Tensor(upstream)).sum().backward()
             results.append([out.data] + [p.grad for p in params])
@@ -143,11 +165,11 @@ class TestFusedAttention:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_gradients_match_finite_differences(self, masked):
-        q, k, v, upstream, keep = attention_inputs(5, 2, 2, 3, 4, 2, masked)
+        q, k, v, upstream = attention_inputs(5, 2, 2, 3, 4, 2)
         params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
 
         def loss_fn():
-            out = attention(*params, 0.7, keep, 0.7 if masked else 1.0)
+            out = attention(*params, 0.7, dropout_rng(5, masked), 0.7 if masked else 1.0)
             return (out * Tensor(upstream)).sum()
 
         loss_fn().backward()
@@ -157,16 +179,30 @@ class TestFusedAttention:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_block_size_changes_no_bit(self, monkeypatch, masked):
-        q, k, v, upstream, keep = attention_inputs(6, 3, 2, 5, 4, 3, masked)
+        q, k, v, upstream = attention_inputs(6, 3, 2, 5, 4, 3)
         results = []
         for block_bytes in (tensor.ATTENTION_BLOCK_BYTES, 1):  # one block, one row per block
             monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", block_bytes)
             params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
-            out = attention(*params, 0.6, keep, 0.7 if masked else 1.0)
+            out = attention(*params, 0.6, dropout_rng(6, masked), 0.7 if masked else 1.0)
             (out * Tensor(upstream)).sum().backward()
             results.append([out.data] + [p.grad for p in params])
         for whole, rowwise in zip(*results):
             assert np.array_equal(whole, rowwise)
+
+    @pytest.mark.parametrize("block_bytes", [tensor.ATTENTION_BLOCK_BYTES, 1])
+    def test_blockwise_draws_match_one_whole_draw(self, monkeypatch, block_bytes):
+        # Zero scores give equal weights, and v = I makes the output the kept
+        # weights themselves, so the mask can be read off the output.
+        monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", block_bytes)
+        batch, heads, sq, skv = 3, 2, 4, 5
+        zeros = Tensor(np.zeros((batch, heads, sq, skv)))
+        eye = Tensor(np.broadcast_to(np.eye(skv), (batch, heads, skv, skv)))
+        op_rng, whole_rng = np.random.default_rng(3), np.random.default_rng(3)
+        out = attention(zeros, Tensor(np.zeros((batch, heads, skv, skv))), eye, 1.0, op_rng, 0.6)
+        expected = whole_rng.random((batch, heads, sq, skv)) < 0.6
+        np.testing.assert_array_equal(out.data != 0, expected)
+        assert op_rng.random() == whole_rng.random()
 
     def test_inference_memory_bounded_by_block(self):
         # Whole weights for these inputs would take 16*8*321*321*8 bytes, ~105 MB.
@@ -182,17 +218,121 @@ class TestFusedAttention:
         assert out.shape == (16, 8, 321, 3)
         assert peak < 2 * tensor.ATTENTION_BLOCK_BYTES, peak
 
-    def test_non_finite_score_names_attention(self):
-        # One score overflows to -inf; the softmax and the output stay finite.
-        q = np.full((1, 1, 1, 1), 1e200)
-        k = np.array([-1e200, 0.0]).reshape(1, 1, 2, 1)
+    def test_dropout_draws_bounded_by_block(self):
+        # One whole float64 draw for these weights would take ~105 MB.
+        rng = np.random.default_rng(8)
+        q, k, v = (Tensor(rng.standard_normal((16, 8, 321, 3))) for _ in range(3))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = attention(q, k, v, 0.5, rng, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (16, 8, 321, 3)
+        assert peak < 3 * tensor.ATTENTION_BLOCK_BYTES, peak
+
+    @pytest.mark.parametrize("score", ["-inf", "+inf", "nan"])
+    def test_non_finite_score_names_attention(self, score):
+        # Finite inputs whose one score overflows: to -inf (the softmax and the
+        # output stay finite), to +inf, or to inf - inf = NaN.
+        q, k = {
+            "-inf": ([1e200], [[-1e200], [0.0]]),
+            "+inf": ([1e200], [[1e200], [0.0]]),
+            "nan": ([1e200, 1e200], [[1e200, -1e200], [0.0, 0.0]]),
+        }[score]
+        q = np.array(q).reshape(1, 1, 1, -1)
+        k = np.array(k).reshape(1, 1, 2, -1)
         with pytest.raises(NonFiniteError, match="attention"):
             attention(Tensor(q), Tensor(k), Tensor(k), 1.0)
 
-    def test_mask_shape_must_match_weights(self):
-        q, k, v, _, _ = attention_inputs(2, 1, 1, 2, 3, 2, False)
-        with pytest.raises(ShapeError):
-            attention(Tensor(q), Tensor(k), Tensor(v), 1.0, np.ones((1, 1, 3, 2), bool), 0.5)
+    def test_float32_overflow_names_attention(self, float32):
+        big = Tensor(np.full((1, 1, 2, 1), 1e20))  # finite in float32, 1e40 scores are not
+        with pytest.raises(NonFiniteError, match="attention"):
+            attention(big, big, big, 1.0)
+
+    def test_float32_with_dropout_tracks_float64(self, float32):
+        q, k, v, upstream = attention_inputs(4, 2, 3, 6, 5, 4)
+        results = []
+        for name in ("float32", "float64"):
+            tensor.set_default_dtype(name)
+            params = [Parameter(a, n) for a, n in ((q, "q"), (k, "k"), (v, "v"))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                # numpy float64 scalars, as MultiHeadAttention passes them
+                out = attention(*params, np.float64(0.5), dropout_rng(4, True), np.float64(0.8))
+                (out * Tensor(upstream)).sum().backward()
+            results.append([out.data] + [p.grad for p in params])
+        for single, double in zip(*results):
+            assert single.dtype == np.float32
+            np.testing.assert_allclose(single, double, rtol=1e-4, atol=1e-4 * np.abs(double).max())
+
+
+@st.composite
+def broadcast_shapes(draw):
+    """A shape and a larger shape it broadcasts to."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    grown = tuple(draw(st.integers(1, 3)) if size == 1 else size for size in shape)
+    return shape, tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + grown
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=broadcast_shapes(), seed=st.integers(0, 2**32 - 1))
+    def test_unbroadcast_matches_explicit_sum(self, shapes, seed):
+        shape, grad_shape = shapes
+        grad = np.random.default_rng(seed).standard_normal(grad_shape)
+        extra = len(grad_shape) - len(shape)
+        expected = np.zeros(shape)
+        for index in np.ndindex(grad_shape):
+            expected[tuple(0 if size == 1 else i
+                           for i, size in zip(index[extra:], shape))] += grad[index]
+        reduced = tensor._unbroadcast(grad, shape)
+        assert reduced.shape == shape
+        np.testing.assert_allclose(reduced, expected, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_reshape_transpose_round_trip_gradient(self, shape, seed, data):
+        perm = tuple(data.draw(st.permutations(range(len(shape)))))
+        inverse = tuple(int(i) for i in np.argsort(perm))
+        moved = tuple(shape[i] for i in perm)
+        regrouped = tuple(data.draw(st.permutations(moved))) + (1,)
+        rng = np.random.default_rng(seed)
+        x = Parameter(rng.standard_normal(shape), "x")
+        upstream = rng.standard_normal(shape)
+        back = transpose(reshape(reshape(transpose(x, perm), regrouped), moved), inverse)
+        assert np.array_equal(back.data, x.data)
+        (back * Tensor(upstream)).sum().backward()
+        assert np.array_equal(x.grad, upstream)
+
+        x.zero_grad()
+        (transpose(x, perm) * Tensor(upstream.transpose(perm))).sum().backward()
+        assert np.array_equal(x.grad, upstream)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 3), dim=st.integers(1, 4),
+           num_centers=st.integers(1, 5), bandwidth=st.floats(0.3, 2.0))
+    def test_gaussian_rbf_matches_composition(self, seed, rows, dim, num_centers, bandwidth):
+        rng = np.random.default_rng(seed)
+        x_data = rng.standard_normal((rows, dim)) * 2.0
+        centers = np.linspace(-2.0, 2.0, num_centers)
+        upstream = rng.standard_normal((rows, dim * num_centers))
+
+        def composed(x):
+            diff = reshape(x, (rows, dim, 1)) - Tensor(centers)
+            feats = exp(square(diff) * (-1.0 / (2.0 * bandwidth * bandwidth)))
+            return reshape(feats, (rows, dim * num_centers))
+
+        results = []
+        for build in (lambda x: gaussian_rbf(x, centers, bandwidth), composed):
+            x = Parameter(x_data, "x")
+            out = build(x)
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data, x.grad))
+        for fused, reference in zip(*results):
+            assert np.array_equal(fused, reference)
 
 
 class TestNoGrad:

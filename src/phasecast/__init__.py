@@ -14,7 +14,6 @@ from .tensor import (  # noqa: F401
     attention,
     matmul,
     no_grad,
-    set_default_dtype,
     softmax,
 )
 from .layers import (  # noqa: F401

@@ -35,7 +35,6 @@ class DatasetSpec:
     split_ratio: str = "6:2:2"
     lookback: int = 96
     horizon: int = 96
-    stride: int = 1
     columns: list | None = None        # subset of variate columns, None = all
     forward_fill: bool = False         # fill missing cells from the previous row
     sort_on_disorder: bool = False     # stable-sort rows if timestamps regress
@@ -45,8 +44,6 @@ class DatasetSpec:
             raise ConfigError(
                 f"split_ratio must be one of {sorted(SPLIT_RATIOS)}, got {self.split_ratio!r}"
             )
-        if self.stride != 1:
-            raise ConfigError("only stride 1 is supported")
         if self.lookback < 2 or self.horizon < 1:
             raise ConfigError(
                 f"lookback must be >= 2 and horizon >= 1, got {self.lookback}, {self.horizon}"
@@ -226,12 +223,12 @@ class PreparedData:
     test: tuple
 
 
-def prepare_windows(spec: DatasetSpec, *, standardized: bool = True) -> PreparedData:
+def prepare_windows(spec: DatasetSpec) -> PreparedData:
     """Load, split, scale (train statistics only), and window a dataset."""
     dataset = load_csv(spec)
     (tr0, tr1), (va0, va1), (te0, te1) = split_bounds(dataset.length, spec.split_ratio)
     scaler = StandardScaler.fit(dataset.values[tr0:tr1])
-    values = scaler.transform(dataset.values) if standardized else dataset.values
+    values = scaler.transform(dataset.values)
     train = window_views(values, tr0, tr1, spec.lookback, spec.horizon)
     val = window_views(values, va0, va1, spec.lookback, spec.horizon)
     test = window_views(values, te0, te1, spec.lookback, spec.horizon)

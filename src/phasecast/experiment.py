@@ -22,7 +22,6 @@ from .data import DatasetSpec, prepare_windows
 from .errors import ConfigError, DataError
 from .metrics import forecast_metrics, repeat_last, window_mean
 from .model import SAME_MODEL_AS, Forecaster, ModelConfig, VARIANTS
-from .tensor import using_dtype
 from .training import TrainSchedule, grad_check_model, predict, train_model
 
 OFFSET_SEMANTICS = (
@@ -63,7 +62,6 @@ class ExperimentConfig:
     report_format: str = "json"
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
-    precision: str = "float64"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -89,9 +87,6 @@ class ExperimentConfig:
         report_format = raw.get("report_format", "json")
         if report_format not in ("json", "csv-table"):
             raise ConfigError(f"report_format must be 'json' or 'csv-table', got {report_format!r}")
-        precision = model.get("precision", "float64")
-        if precision not in ("float64", "float32"):
-            raise ConfigError(f"model.precision must be 'float64' or 'float32', got {precision!r}")
 
         cfg = cls(
             dataset_path=dataset["path"],
@@ -105,9 +100,8 @@ class ExperimentConfig:
             metrics_scale=metrics_scale,
             output_dir=raw.get("output_dir", "runs/latest"),
             report_format=report_format,
-            model={k: v for k, v in model.items() if k != "precision"},
+            model=dict(model),
             train=dict(train),
-            precision=precision,
         )
         return cfg
 
@@ -131,7 +125,7 @@ class ExperimentConfig:
                 "forward_fill": self.forward_fill,
                 "sort_on_disorder": self.sort_on_disorder,
             },
-            "model": {**self.model, "precision": self.precision},
+            "model": dict(self.model),
             "train": dict(self.train),
             "lookback": self.lookback,
             "horizons": list(self.horizons),
@@ -239,112 +233,108 @@ def _checkpoint_name(horizon: int, variant: str) -> str:
 
 def run_train(config: ExperimentConfig, out_dir, variant: str | None = None,
               horizons: list | None = None) -> dict:
-    with using_dtype(config.precision):
-        out = Path(out_dir)
-        report = _report_skeleton(config, "train")
-        for horizon in (horizons or config.horizons):
-            started = time.perf_counter()
-            prepared = prepare_windows(config.dataset_spec(horizon))
-            raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
-            n = prepared.dataset.num_variates
-            model_cfg = config.model_config(n, horizon, variant)
-            model = Forecaster(model_cfg)
-            train_report = train_model(model, prepared.train, prepared.val, config.schedule())
-            metrics = _evaluate(model, prepared.test, scaler=raw_scaler)
-            out.mkdir(parents=True, exist_ok=True)
-            ckpt = _checkpoint_name(horizon, model_cfg.variant)
-            model.save_checkpoint(out / ckpt)
-            report["runs"].append({
-                "horizon": horizon,
-                "variant": model_cfg.variant,
-                "metrics": metrics,
-                "train_report": train_report.to_dict(),
-                "parameter_count": model.parameter_count(),
-                "checkpoint": ckpt,
-                "wall_time_s": time.perf_counter() - started,
-            })
-        _write_report(out, report)
-        return report
+    out = Path(out_dir)
+    report = _report_skeleton(config, "train")
+    for horizon in (horizons or config.horizons):
+        started = time.perf_counter()
+        prepared = prepare_windows(config.dataset_spec(horizon))
+        raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
+        n = prepared.dataset.num_variates
+        model_cfg = config.model_config(n, horizon, variant)
+        model = Forecaster(model_cfg)
+        train_report = train_model(model, prepared.train, prepared.val, config.schedule())
+        metrics = _evaluate(model, prepared.test, scaler=raw_scaler)
+        out.mkdir(parents=True, exist_ok=True)
+        ckpt = _checkpoint_name(horizon, model_cfg.variant)
+        model.save_checkpoint(out / ckpt)
+        report["runs"].append({
+            "horizon": horizon,
+            "variant": model_cfg.variant,
+            "metrics": metrics,
+            "train_report": train_report.to_dict(),
+            "parameter_count": model.parameter_count(),
+            "checkpoint": ckpt,
+            "wall_time_s": time.perf_counter() - started,
+        })
+    _write_report(out, report)
+    return report
 
 
 def run_eval(config: ExperimentConfig, out_dir, variant: str | None = None,
              horizons: list | None = None) -> dict:
-    with using_dtype(config.precision):
-        out = Path(out_dir)
-        report = _report_skeleton(config, "eval")
-        for horizon in (horizons or config.horizons):
-            prepared = prepare_windows(config.dataset_spec(horizon))
-            raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
-            variant_tag = variant or config.model.get("variant", "full")
-            ckpt_path = out / _checkpoint_name(horizon, variant_tag)
-            if not ckpt_path.exists():
-                raise DataError(f"no checkpoint at {ckpt_path}; run the train subcommand first")
-            model = Forecaster.load_checkpoint(ckpt_path)
-            metrics = _evaluate(model, prepared.test, scaler=raw_scaler)
-            report["runs"].append({
-                "horizon": horizon,
-                "variant": model.config.variant,
-                "metrics": metrics,
-                "parameter_count": model.parameter_count(),
-                "checkpoint": ckpt_path.name,
-            })
-        _write_report(out, report)
-        return report
+    out = Path(out_dir)
+    report = _report_skeleton(config, "eval")
+    for horizon in (horizons or config.horizons):
+        prepared = prepare_windows(config.dataset_spec(horizon))
+        raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
+        variant_tag = variant or config.model.get("variant", "full")
+        ckpt_path = out / _checkpoint_name(horizon, variant_tag)
+        if not ckpt_path.exists():
+            raise DataError(f"no checkpoint at {ckpt_path}; run the train subcommand first")
+        model = Forecaster.load_checkpoint(ckpt_path)
+        metrics = _evaluate(model, prepared.test, scaler=raw_scaler)
+        report["runs"].append({
+            "horizon": horizon,
+            "variant": model.config.variant,
+            "metrics": metrics,
+            "parameter_count": model.parameter_count(),
+            "checkpoint": ckpt_path.name,
+        })
+    _write_report(out, report)
+    return report
 
 
 def run_ablate(config: ExperimentConfig, out_dir, horizon: int | None = None,
                variants: tuple = VARIANTS) -> dict:
-    with using_dtype(config.precision):
-        out = Path(out_dir)
-        chosen = horizon or config.horizons[0]
-        prepared = prepare_windows(config.dataset_spec(chosen))
-        raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
-        n = prepared.dataset.num_variates
-        report = _report_skeleton(config, "ablate")
-        results = {}  # one trained model per distinct build; aliased tags share its row
-        for tag in variants:
-            build = SAME_MODEL_AS.get(tag, tag)
-            if build not in results:
-                started = time.perf_counter()
-                model = Forecaster(config.model_config(n, chosen, tag))
-                train_report = train_model(model, prepared.train, prepared.val, config.schedule())
-                results[build] = {
-                    "metrics": _evaluate(model, prepared.test, scaler=raw_scaler),
-                    "train_report": train_report.to_dict(),
-                    "parameter_count": model.parameter_count(),
-                    "wall_time_s": time.perf_counter() - started,
-                }
-            report["runs"].append({"horizon": chosen, "variant": tag, **results[build]})
-        _write_report(out, report)
-        return report
+    out = Path(out_dir)
+    chosen = horizon or config.horizons[0]
+    prepared = prepare_windows(config.dataset_spec(chosen))
+    raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
+    n = prepared.dataset.num_variates
+    report = _report_skeleton(config, "ablate")
+    results = {}  # one trained model per distinct build; aliased tags share its row
+    for tag in variants:
+        build = SAME_MODEL_AS.get(tag, tag)
+        if build not in results:
+            started = time.perf_counter()
+            model = Forecaster(config.model_config(n, chosen, tag))
+            train_report = train_model(model, prepared.train, prepared.val, config.schedule())
+            results[build] = {
+                "metrics": _evaluate(model, prepared.test, scaler=raw_scaler),
+                "train_report": train_report.to_dict(),
+                "parameter_count": model.parameter_count(),
+                "wall_time_s": time.perf_counter() - started,
+            }
+        report["runs"].append({"horizon": chosen, "variant": tag, **results[build]})
+    _write_report(out, report)
+    return report
 
 
 def run_gradcheck(out_dir=None, seed: int = 2024, tolerance: float = 1e-4) -> dict:
     """Finite-difference check of a small model of every variant; returns a summary."""
-    with using_dtype("float64"):
-        rng = np.random.default_rng(seed)
-        results = {}
-        for tag in VARIANTS:
-            cfg = ModelConfig(
-                num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2,
-                rbf_grid=3, dropout=0.0, variant=tag, seed=seed,
-            )
-            model = Forecaster(cfg)
-            x = rng.standard_normal((1, 2, 8))
-            y = rng.standard_normal((1, 2, 3))
-            results[tag] = grad_check_model(model, x, y, tolerance=tolerance).to_dict()
-        summary = {
-            "tool": {"name": "phasecast", "version": __version__},
-            "mode": "gradcheck",
-            "tolerance": tolerance,
-            "results": results,
-            "passed": all(r["passed"] for r in results.values()),
-        }
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "gradcheck.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return summary
+    rng = np.random.default_rng(seed)
+    results = {}
+    for tag in VARIANTS:
+        cfg = ModelConfig(
+            num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2,
+            rbf_grid=3, dropout=0.0, variant=tag, seed=seed,
+        )
+        model = Forecaster(cfg)
+        x = rng.standard_normal((1, 2, 8))
+        y = rng.standard_normal((1, 2, 3))
+        results[tag] = grad_check_model(model, x, y, tolerance=tolerance).to_dict()
+    summary = {
+        "tool": {"name": "phasecast", "version": __version__},
+        "mode": "gradcheck",
+        "tolerance": tolerance,
+        "results": results,
+        "passed": all(r["passed"] for r in results.values()),
+    }
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "gradcheck.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return summary
 
 
 def run_synth(out_dir, seed: int = 2024, length: int = 2000) -> dict:

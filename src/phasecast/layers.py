@@ -19,7 +19,6 @@ from .tensor import (
     as_tensor,
     attention,
     conv1d_same,
-    default_dtype,
     gaussian_rbf,
     matmul,
     reshape,
@@ -35,22 +34,34 @@ _ROOT_HALF_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi), for the tanh GELU
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(float(fan_in))
-    return rng.uniform(-bound, bound, size=shape).astype(default_dtype())
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Module:
-    """Minimal layer base: parameter listing plus a training-mode flag."""
+    """Minimal layer base: parameter listing plus a training-mode flag.
+
+    A module lists its submodules in ``modules()``; the base ``parameters()``,
+    ``train()`` and ``eval()`` walk them in that order. Leaf layers override
+    ``parameters()`` instead.
+    """
 
     training = False
 
+    def modules(self) -> list["Module"]:
+        return []
+
     def parameters(self) -> list[Parameter]:
-        raise NotImplementedError
+        return [p for mod in self.modules() for p in mod.parameters()]
 
     def train(self):
+        for mod in self.modules():
+            mod.train()
         self.training = True
         return self
 
     def eval(self):
+        for mod in self.modules():
+            mod.eval()
         self.training = False
         return self
 
@@ -186,7 +197,7 @@ class GaussianKanLayer(Module):
         self.out_dim = out_dim
         self.num_centers = num_centers
         centers = np.linspace(lo, hi, num_centers) if num_centers > 1 else np.array([0.5 * (lo + hi)])
-        self.centers = centers.astype(default_dtype())  # fixed, non-trainable
+        self.centers = centers  # fixed, non-trainable
         self.bandwidth = (hi - lo) / (num_centers - 1) if num_centers > 1 else 1.0
         self.weights = Parameter(
             uniform_init(rng, (in_dim * num_centers, out_dim), in_dim * num_centers),
@@ -226,8 +237,8 @@ class MlpBlock(Module):
         self.fc1 = Linear(dim, self.hidden, rng, name=f"{name}.fc1")
         self.fc2 = Linear(self.hidden, dim, rng, name=f"{name}.fc2")
 
-    def parameters(self):
-        return self.fc1.parameters() + self.fc2.parameters()
+    def modules(self):
+        return [self.fc1, self.fc2]
 
     def __call__(self, x) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))

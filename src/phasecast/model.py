@@ -42,7 +42,7 @@ from .errors import ConfigError
 from .layers import Conv1dBlock, GaussianKanLayer, Linear, MlpBlock, Module, MultiHeadAttention
 from .offsets import merge_offsets, split_offsets
 from .revin import RevIN
-from .tensor import Parameter, Tensor, as_tensor
+from .tensor import Tensor, as_tensor
 
 VARIANTS = ("full", "moti-only", "mote-only", "no-trans", "no-kan", "mlp-swap", "conv1d-swap")
 # Tags that build the same model, bit for bit, as another tag.
@@ -72,6 +72,7 @@ class ModelConfig:
     variant: str = "full"
     revin_affine: bool = True
     seed: int = 2024
+    precision: str = "float64"
 
     @property
     def sub_length(self) -> int:
@@ -90,7 +91,7 @@ class ModelConfig:
             )
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.variant in _ATTENTION_VARIANTS or self.variant == "full":
+        if self.variant in _ATTENTION_VARIANTS:
             if self.sub_length % self.num_heads != 0:
                 raise ConfigError(
                     f"sub-sequence length {self.sub_length} (lookback {self.lookback} / "
@@ -102,6 +103,9 @@ class ModelConfig:
             raise ConfigError(f"rbf_grid must be positive, got {self.rbf_grid}")
         if self.depth < 1:
             raise ConfigError(f"depth must be at least 1, got {self.depth}")
+        if self.precision not in ("float64", "float32"):
+            raise ConfigError(
+                f"precision must be 'float64' or 'float32', got {self.precision!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -163,22 +167,6 @@ class InteractionBlock(Module):
             mods.extend([self.attn_local, self.attn_fusion])
         return mods
 
-    def parameters(self) -> list[Parameter]:
-        params = []
-        for mod in self.modules():
-            params.extend(mod.parameters())
-        return params
-
-    def train(self):
-        for mod in self.modules():
-            mod.train()
-        return super().train()
-
-    def eval(self):
-        for mod in self.modules():
-            mod.eval()
-        return super().eval()
-
     def forward(self, h: Tensor) -> Tensor:
         cfg = self.config
         stacked = split_offsets(h, cfg.offsets)  # [O*B, N, T]
@@ -212,7 +200,12 @@ class Forecaster(Module):
         ]
         self.head = Linear(length, horizon, rng, name="head")
 
-        names = [p.name for p in self.parameters()]
+        self.dtype = np.dtype(config.precision)
+        names = []
+        for p in self.parameters():
+            p.data = p.data.astype(self.dtype, copy=False)
+            p.zero_grad()
+            names.append(p.name)
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate parameter names in model: {sorted(names)}")
 
@@ -221,35 +214,19 @@ class Forecaster(Module):
     def modules(self) -> list[Module]:
         return [self.revin, *self.blocks, self.head]
 
-    def parameters(self) -> list[Parameter]:
-        params = []
-        for mod in self.modules():
-            params.extend(mod.parameters())
-        return params
-
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters() if p.trainable)
-
-    def train(self):
-        for mod in self.modules():
-            mod.train()
-        return super().train()
-
-    def eval(self):
-        for mod in self.modules():
-            mod.eval()
-        return super().eval()
 
     # ---- forward -----------------------------------------------------------
 
     def forward(self, x) -> Tensor:
         """Map [B, N, L] history to a [B, N, F] forecast.
 
-        An array input is first copied into C order if it is not already
-        (window views are strided), so the forecast does not depend on how the
-        caller's batch is laid out in memory.
+        An array input is first copied into C order and the model's dtype if
+        it is not already (window views are strided), so the forecast does not
+        depend on how the caller's batch is laid out in memory.
         """
-        x = as_tensor(x if isinstance(x, Tensor) else np.ascontiguousarray(x))
+        x = as_tensor(x if isinstance(x, Tensor) else np.ascontiguousarray(x, self.dtype))
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != cfg.num_variates or x.shape[2] != cfg.lookback:
             raise ConfigError(

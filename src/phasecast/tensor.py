@@ -5,7 +5,10 @@ closure on the output node. Calling ``backward()`` on a scalar walks the
 recorded graph once in reverse topological order and accumulates
 gradients into every reachable node.
 
-Values are float64 by default (float32 can be selected for speed).
+Data keeps its own dtype: float32 arrays stay float32 and everything else
+becomes float64. A plain Python number meeting a tensor in ``add``, ``sub``,
+``mul`` or ``div`` takes the tensor's dtype (NumPy's NEP 50 rule for weak
+scalars), so a float32 model stays float32 through its constants.
 Any op that produces a non-finite value raises ``NonFiniteError``
 immediately instead of letting NaNs propagate into training.
 
@@ -19,8 +22,6 @@ import contextlib
 import threading
 
 import numpy as np
-
-_DEFAULT_DTYPE = np.float64
 
 
 class _GradMode(threading.local):
@@ -38,32 +39,6 @@ class NonFiniteError(FloatingPointError):
     """Raised when an op produces NaN or Inf."""
 
 
-def set_default_dtype(name: str) -> None:
-    """Select the element type for newly created tensors ("float64" or "float32")."""
-    global _DEFAULT_DTYPE
-    if name not in ("float64", "float32"):
-        raise ValueError(f"unsupported dtype {name!r}; use 'float64' or 'float32'")
-    _DEFAULT_DTYPE = np.float64 if name == "float64" else np.float32
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-@contextlib.contextmanager
-def using_dtype(name: str):
-    """Select ``name`` as the default dtype inside the block.
-
-    The dtype in force before comes back on exit, also when the block raises.
-    """
-    previous = np.dtype(_DEFAULT_DTYPE).name
-    set_default_dtype(name)
-    try:
-        yield
-    finally:
-        set_default_dtype(previous)
-
-
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{op} produced non-finite values")
@@ -75,7 +50,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         _ensure_finite(arr, "tensor construction")
         self.data = arr
         self.grad = None
@@ -231,6 +208,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _binary_operands(a, b) -> tuple:
+    """Both operands as tensors; a plain number takes the other tensor's dtype."""
+    if isinstance(a, Tensor) and isinstance(b, (int, float)):
+        return a, Tensor(np.asarray(b, a.data.dtype))
+    if isinstance(b, Tensor) and isinstance(a, (int, float)):
+        return Tensor(np.asarray(a, b.data.dtype)), b
+    return as_tensor(a), as_tensor(b)
+
+
 @contextlib.contextmanager
 def no_grad():
     """Record no tape in this thread inside the block.
@@ -274,7 +260,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _binary_operands(a, b)
     data = a.data + b.data
 
     def backward_fn(g):
@@ -285,7 +271,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _binary_operands(a, b)
     data = a.data - b.data
 
     def backward_fn(g):
@@ -296,7 +282,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _binary_operands(a, b)
     data = a.data * b.data
 
     def backward_fn(g):
@@ -307,7 +293,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _binary_operands(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
 
@@ -623,6 +609,7 @@ def gaussian_rbf(x, centers: np.ndarray, bandwidth: float) -> Tensor:
     gradient bit for bit.
     """
     x = as_tensor(x)
+    centers = centers.astype(x.data.dtype, copy=False)
     scale = -1.0 / (2.0 * bandwidth * bandwidth)
     feats = x.data[..., None] - centers  # [..., D, K]
     feats *= feats

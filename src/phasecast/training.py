@@ -181,7 +181,7 @@ def train_model(model, train_windows, val_windows, schedule: TrainSchedule,
         for lo in range(0, len(order), schedule.batch_size):
             idx = order[lo:lo + schedule.batch_size]
             pred = model.forward(train_x[idx])
-            loss = mse_loss(pred, Tensor(train_y[idx]))
+            loss = mse_loss(pred, Tensor(train_y[idx].astype(pred.data.dtype, copy=False)))
             opt.zero_grad()
             loss.backward()
             if schedule.clip_norm is not None:
@@ -189,6 +189,7 @@ def train_model(model, train_windows, val_windows, schedule: TrainSchedule,
             opt.step()
             epoch_loss += loss.item()
             batches += 1
+            del pred, loss  # frees this step's graph before the next forward builds one
         model.eval()
         report.train_losses.append(epoch_loss / batches)
 

@@ -8,10 +8,8 @@ import pytest
 
 from phasecast import experiment
 from phasecast.cli import main
-from phasecast.errors import DataError
-from phasecast.model import VARIANTS
+from phasecast.model import VARIANTS, Forecaster, ModelConfig
 from phasecast.synthetic import sine_mixture, write_series_csv
-from phasecast.tensor import default_dtype, set_default_dtype
 
 
 @pytest.fixture
@@ -254,28 +252,19 @@ class TestModuleEntryPoint:
 
 
 class TestPrecisionIsRestored:
-    def test_runs_put_back_the_dtype_they_found(self, tmp_path, tiny_config, monkeypatch):
+    def test_checkpoint_carries_the_run_precision(self, tmp_path, tiny_config):
         _, raw = tiny_config
         single = experiment.ExperimentConfig.from_dict(
             {**raw, "model": {**raw["model"], "precision": "float32"}})
-        experiment.run_train(single, tmp_path / "out")
-        assert default_dtype() is np.float64
+        trained = experiment.run_train(single, tmp_path / "out")["runs"][0]
 
-        seen = []
+        # Loaded outside any run, the checkpoint comes back float32.
+        loaded = Forecaster.load_checkpoint(tmp_path / "out" / trained["checkpoint"])
+        assert {p.data.dtype for p in loaded.parameters()} == {np.dtype(np.float32)}
 
-        def failing_check(model, x, y, tolerance):
-            seen.append(default_dtype())
-            raise RuntimeError("check failed")
+        # A config that names no precision evaluates at the checkpoint's.
+        evaluated = experiment.run_eval(experiment.ExperimentConfig.from_dict(raw), tmp_path / "out")
+        assert evaluated["runs"][0]["metrics"] == trained["metrics"]
 
-        monkeypatch.setattr(experiment, "grad_check_model", failing_check)
-        set_default_dtype("float32")
-        try:
-            with pytest.raises(RuntimeError):
-                experiment.run_gradcheck()
-            assert seen == [np.float64] and default_dtype() is np.float32
-            double = experiment.ExperimentConfig.from_dict(raw)
-            with pytest.raises(DataError):
-                experiment.run_eval(double, tmp_path / "fresh")
-            assert default_dtype() is np.float32
-        finally:
-            set_default_dtype("float64")
+        fresh = Forecaster(ModelConfig(num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2))
+        assert {p.data.dtype for p in fresh.parameters()} == {np.dtype(np.float64)}

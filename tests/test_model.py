@@ -174,6 +174,26 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="magic"):
             Forecaster.load_checkpoint(path)
 
+    def test_float32_model_keeps_its_precision_through_a_checkpoint(self, tmp_path):
+        model = Forecaster(small_config(seed=11, precision="float32")).eval()
+        x = np.random.default_rng(8).standard_normal((2, 2, 8))  # float64 windows
+        expected = model.forward(x).data
+        assert expected.dtype == np.float32
+        path = tmp_path / "model.json"
+        model.save_checkpoint(path)
+        restored = Forecaster.load_checkpoint(path).eval()
+        assert {p.data.dtype for p in restored.parameters()} == {np.dtype(np.float32)}
+        np.testing.assert_array_equal(restored.forward(x).data, expected)
+
+    def test_checkpoint_without_precision_loads_as_float64(self, tmp_path):
+        path = tmp_path / "model.json"
+        Forecaster(small_config(precision="float32")).save_checkpoint(path)
+        payload = json.loads(path.read_text())
+        del payload["config"]["precision"]
+        path.write_text(json.dumps(payload))
+        restored = Forecaster.load_checkpoint(path)
+        assert {p.data.dtype for p in restored.parameters()} == {np.dtype(np.float64)}
+
     def test_mismatched_state_rejected(self):
         model = Forecaster(small_config())
         state = model.state_dict()

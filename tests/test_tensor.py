@@ -1,3 +1,4 @@
+import operator
 import tracemalloc
 import warnings
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecast import tensor
+from phasecast.errors import ConfigError
+from phasecast.model import ModelConfig
 from phasecast.tensor import (
     NonFiniteError,
     Parameter,
@@ -135,15 +138,6 @@ def dropout_rng(seed, masked):
     return np.random.default_rng((seed, 1)) if masked else None
 
 
-@pytest.fixture
-def float32():
-    tensor.set_default_dtype("float32")
-    try:
-        yield
-    finally:
-        tensor.set_default_dtype("float64")
-
-
 class TestFusedAttention:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 2), heads=st.integers(1, 3),
@@ -246,22 +240,22 @@ class TestFusedAttention:
         with pytest.raises(NonFiniteError, match="attention"):
             attention(Tensor(q), Tensor(k), Tensor(k), 1.0)
 
-    def test_float32_overflow_names_attention(self, float32):
-        big = Tensor(np.full((1, 1, 2, 1), 1e20))  # finite in float32, 1e40 scores are not
+    def test_float32_overflow_names_attention(self):
+        # finite in float32, 1e40 scores are not
+        big = Tensor(np.full((1, 1, 2, 1), 1e20, np.float32))
         with pytest.raises(NonFiniteError, match="attention"):
             attention(big, big, big, 1.0)
 
-    def test_float32_with_dropout_tracks_float64(self, float32):
+    def test_float32_with_dropout_tracks_float64(self):
         q, k, v, upstream = attention_inputs(4, 2, 3, 6, 5, 4)
         results = []
-        for name in ("float32", "float64"):
-            tensor.set_default_dtype(name)
-            params = [Parameter(a, n) for a, n in ((q, "q"), (k, "k"), (v, "v"))]
+        for dtype in (np.float32, np.float64):
+            params = [Parameter(a.astype(dtype), n) for a, n in ((q, "q"), (k, "k"), (v, "v"))]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 # numpy float64 scalars, as MultiHeadAttention passes them
                 out = attention(*params, np.float64(0.5), dropout_rng(4, True), np.float64(0.8))
-                (out * Tensor(upstream)).sum().backward()
+                (out * Tensor(upstream.astype(dtype))).sum().backward()
             results.append([out.data] + [p.grad for p in params])
         for single, double in zip(*results):
             assert single.dtype == np.float32
@@ -521,22 +515,32 @@ class TestGraphTraversal:
 
 
 class TestPrecisionConfig:
-    def test_float32_mode(self):
-        from phasecast.tensor import default_dtype, set_default_dtype
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
+           op=st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+           number=st.one_of(st.integers(-5, 5).filter(bool),
+                            st.floats(0.25, 4.0), st.floats(-4.0, -0.25),
+                            st.floats(0.25, 4.0).map(np.float64)),
+           number_first=st.booleans())
+    def test_plain_numbers_take_the_tensor_dtype(self, seed, dtype, op, number, number_first):
+        rng = np.random.default_rng(seed)
+        arr = (rng.uniform(0.5, 2.0, (2, 3)) * rng.choice([-1.0, 1.0], (2, 3))).astype(dtype)
+        t = Tensor(arr, requires_grad=True)
+        weak = np.asarray(number, dtype)
+        out = op(number, t) if number_first else op(t, number)
+        expected = op(weak, arr) if number_first else op(arr, weak)
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, expected)
+        out.sum().backward()
+        assert t.grad.dtype == dtype
 
-        assert default_dtype() is np.float64
-        set_default_dtype("float32")
-        try:
-            t = Tensor([1.0, 2.0])
-            assert t.data.dtype == np.float32
-            out = (t * 2.0).exp()
-            assert out.data.dtype == np.float32
-        finally:
-            set_default_dtype("float64")
+    def test_float32_mode(self):
+        t = Tensor(np.array([1.0, 2.0], np.float32))
+        assert t.data.dtype == np.float32
+        out = (1.0 - (t * 2.0 + 1) / np.float64(3.0)).exp()
+        assert out.data.dtype == np.float32
         assert Tensor([1.0]).data.dtype == np.float64
 
     def test_rejects_unknown_dtype(self):
-        from phasecast.tensor import set_default_dtype
-
-        with pytest.raises(ValueError):
-            set_default_dtype("float16")
+        with pytest.raises(ConfigError, match="precision"):
+            ModelConfig(num_variates=1, precision="float16").validate()

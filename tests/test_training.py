@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,29 @@ class TestTrainingRuns:
         r2 = train_model(tiny_model(seed=9), train, val, schedule)
         assert r1.train_losses == r2.train_losses
         assert r1.val_losses == r2.val_losses
+
+
+    def test_previous_step_graph_is_freed_before_the_next_forward(self, monkeypatch):
+        model = Forecaster(ModelConfig(num_variates=7, seed=3))
+        rng = np.random.default_rng(0)
+        inputs, targets = rng.standard_normal((64, 7, 96)), rng.standard_normal((64, 7, 96))
+        live = []  # bytes traced at the start of each training forward
+        forward = model.forward
+
+        def recording_forward(x):
+            if model.training:
+                live.append(tracemalloc.get_traced_memory()[0])
+            return forward(x)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        tracemalloc.start()
+        try:
+            train_model(model, (inputs, targets), (inputs[:8], targets[:8]),
+                        TrainSchedule(max_epochs=1, patience=1, batch_size=32))
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 2
+        assert live[1] - live[0] < 2 * 2**20, live
 
 
 class TestGradCheckHarness:

@@ -42,7 +42,7 @@ from .errors import ConfigError
 from .layers import Conv1dBlock, GaussianKanLayer, Linear, MlpBlock, Module, MultiHeadAttention
 from .offsets import merge_offsets, split_offsets
 from .revin import RevIN
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, keep_threshold
 
 VARIANTS = ("full", "moti-only", "mote-only", "no-trans", "no-kan", "mlp-swap", "conv1d-swap")
 # Tags that build the same model, bit for bit, as another tag.
@@ -99,6 +99,9 @@ class ModelConfig:
                 )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if keep_threshold(1.0 - self.dropout) == 0:
+            raise ConfigError(f"dropout {self.dropout} leaves a keep probability that "
+                              f"rounds to zero in steps of 2**-16")
         if self.rbf_grid < 1:
             raise ConfigError(f"rbf_grid must be positive, got {self.rbf_grid}")
         if self.depth < 1:
@@ -224,9 +227,15 @@ class Forecaster(Module):
 
         An array input is first copied into C order and the model's dtype if
         it is not already (window views are strided), so the forecast does not
-        depend on how the caller's batch is laid out in memory.
+        depend on how the caller's batch is laid out in memory. A ``Tensor``
+        input must already have the model's dtype: casting it would cut its
+        gradient.
         """
-        x = as_tensor(x if isinstance(x, Tensor) else np.ascontiguousarray(x, self.dtype))
+        if isinstance(x, Tensor):
+            if x.data.dtype != self.dtype:
+                raise ConfigError(f"input tensor is {x.data.dtype}, the model is {self.dtype}")
+        else:
+            x = Tensor(np.ascontiguousarray(x, self.dtype))
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != cfg.num_variates or x.shape[2] != cfg.lookback:
             raise ConfigError(

@@ -456,7 +456,10 @@ def matmul(a, b) -> Tensor:
 
     def backward_fn(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        if b.ndim == 2 and a.ndim > 2:  # a shared weight: one GEMM over all rows
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         a._accumulate(_unbroadcast(ga, a.shape))
         b._accumulate(_unbroadcast(gb, b.shape))
 
@@ -484,6 +487,11 @@ def softmax(a, axis: int = -1) -> Tensor:
 ATTENTION_BLOCK_BYTES = 8 * 2**20
 
 
+def keep_threshold(keep_prob: float) -> int:
+    """The 16-bit dropout threshold ``round(keep_prob * 2**16)`` of ``attention``."""
+    return round(keep_prob * 2**16)
+
+
 def _abs_max(a: np.ndarray) -> float:
     return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
 
@@ -493,11 +501,15 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
 
     Computes ``softmax(q @ k^T * scale) @ v`` for q ``[..., Sq, d]`` and
     k, v ``[..., Skv, d]`` with the same leading axes. With a generator
-    ``rng`` the weights get dropout: each is kept where a draw
-    ``rng.random() < keep_prob`` and then scaled by ``1 / keep_prob``. The
-    draws are made block by block in order, so they read the generator's
-    stream as one ``rng.random(weights_shape) < keep_prob`` would. Without
-    ``rng``, ``keep_prob`` is ignored.
+    ``rng`` the weights get dropout. ``keep_prob`` is quantized to
+    ``threshold / 2**16`` with ``threshold = keep_threshold(keep_prob)``, and
+    that value is the one the op uses. Each ``[Sq, Skv]`` matrix takes
+    ``words = ceil(Sq * Skv / 4)`` 64-bit words of the stream, read as 16-bit
+    integers; a weight is kept where its integer is below ``threshold`` and
+    then scaled by ``2**16 / threshold``. Every matrix takes the same number
+    of words, so the blocks read the stream as one
+    ``rng.bit_generator.random_raw((count, words))`` would. Without ``rng``,
+    ``keep_prob`` is ignored.
 
     The flattened leading axes are taken in blocks whose weights fill about
     ``ATTENTION_BLOCK_BYTES``. No ``[Sq, Skv]`` array is scaled or normalized:
@@ -525,8 +537,14 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
     count = int(np.prod(lead))
     dtype = q.data.dtype
     if rng is None:
-        keep_prob = 1.0
-    scale, inv_keep = dtype.type(scale), dtype.type(1.0 / keep_prob)
+        keep_prob, inv_keep = 1.0, 1.0
+    else:
+        threshold = keep_threshold(keep_prob)
+        if not 0 < threshold <= 2**16:
+            raise ValueError(f"keep_prob {keep_prob} is not in (0, 1] in steps of 2**-16")
+        keep_prob, inv_keep = threshold / 2**16, 2**16 / threshold
+        words = -(-sq * skv // 4)  # 64-bit words per matrix, four weights each
+    scale, inv_keep = dtype.type(scale), dtype.type(inv_keep)
 
     def flat(a):
         return a.reshape((count,) + a.shape[-2:])
@@ -543,8 +561,7 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
     shape = (min(rows, count), sq, skv)
     reused = None if taped else np.empty(shape, dtype)  # E, when no block is kept
     if rng is not None:
-        draws = np.empty(shape, np.float64)  # the generator's stream is float64
-        dropped = draws if dtype == np.float64 else np.empty(shape, dtype)  # E * mask
+        dropped = np.empty(shape, dtype)  # E * mask
         reused_mask = None if taped else np.empty(shape, bool)
 
     out = np.empty((count, sq, d), dtype)
@@ -561,8 +578,10 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
         coef = inv_keep / e.sum(axis=-1, keepdims=True)
         mask, e_kept = None, e
         if rng is not None:
-            rng.random(out=draws[:n])
-            mask = np.less(draws[:n], keep_prob, out=None if taped else reused_mask[:n])
+            draws = rng.bit_generator.random_raw((n, words)).view(np.uint16)
+            draws = draws[:, :sq * skv].reshape(n, sq, skv)
+            # `<= threshold - 1`: a threshold of 2**16 does not fit in uint16.
+            mask = np.less_equal(draws, threshold - 1, out=None if taped else reused_mask[:n])
             e_kept = np.multiply(e, mask, out=dropped[:n])
         np.matmul(e_kept, vs[block], out=out[block])
         out[block] *= coef

@@ -4,6 +4,8 @@ finite-difference gradient checker used by the verification suite.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -146,6 +148,29 @@ def evaluate_mse(model, inputs: np.ndarray, targets: np.ndarray, batch_size: int
     return total / targets.size
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+@functools.cache
+def _hold_heap() -> None:
+    """Keep freed step memory mapped in glibc's heap, once per process.
+
+    Each train step frees its graph, and by default glibc trims the free heap
+    top and unmaps large blocks, so the next step faults the same pages back
+    in. Raising the trim threshold keeps them. The mmap threshold is set with
+    it: the trim threshold alone turns off glibc's dynamic mmap threshold,
+    which then stays at 128 KiB. Where libc has no ``mallopt`` this does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
+    mallopt(_M_TRIM_THRESHOLD, 512 * 2**20)
+
+
 def train_model(model, train_windows, val_windows, schedule: TrainSchedule,
                 val_loss_fn=None) -> TrainReport:
     """Run the epoch loop with early stopping and best-checkpoint restoration.
@@ -158,6 +183,7 @@ def train_model(model, train_windows, val_windows, schedule: TrainSchedule,
     epochs and restores the best-validation weights before returning.
     """
     schedule.validate()
+    _hold_heap()
     train_x, train_y = train_windows
     val_x, val_y = val_windows
     if train_x.shape[0] == 0:
@@ -247,7 +273,8 @@ def grad_check(loss_fn, params, step: float = 1e-5, tolerance: float = 1e-4,
     re-evaluates ``loss_fn()`` and forms (f+ - f-) / (2 step). The relative
     error divides by max(|analytic|, |numeric|, denom_floor) so that
     coordinates with near-zero gradients are judged on the absolute scale
-    where finite-difference round-off dominates.
+    where finite-difference round-off dominates. Only the analytic pass
+    records a tape; the perturbed probes run under ``no_grad``.
     """
     params = [p for p in params if isinstance(p, Parameter) and p.trainable]
     for p in params:
@@ -260,26 +287,27 @@ def grad_check(loss_fn, params, step: float = 1e-5, tolerance: float = 1e-4,
     worst = 0.0
     worst_name = ""
     checked = 0
-    for p in params:
-        flat = p.data.reshape(-1)
-        grads = analytic[p.name].reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            plus = loss_fn().item()
-            flat[i] = original - step
-            minus = loss_fn().item()
-            flat[i] = original
-            numeric = (plus - minus) / (2.0 * step)
-            a = float(grads[i])
-            if a == numeric:
-                rel = 0.0
-            else:
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
-            checked += 1
-            if rel > worst:
-                worst = rel
-                worst_name = f"{p.name}[{i}]"
+    with no_grad():
+        for p in params:
+            flat = p.data.reshape(-1)
+            grads = analytic[p.name].reshape(-1)
+            for i in range(flat.size):
+                original = flat[i]
+                flat[i] = original + step
+                plus = loss_fn().item()
+                flat[i] = original - step
+                minus = loss_fn().item()
+                flat[i] = original
+                numeric = (plus - minus) / (2.0 * step)
+                a = float(grads[i])
+                if a == numeric:
+                    rel = 0.0
+                else:
+                    rel = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
+                checked += 1
+                if rel > worst:
+                    worst = rel
+                    worst_name = f"{p.name}[{i}]"
     return GradCheckReport(max_rel_error=worst, worst_name=worst_name,
                            coords_checked=checked, tolerance=tolerance)
 

@@ -60,6 +60,7 @@ def small_task_config(variant="full", seed=2024):
                        rbf_grid=8, dropout=0.0, seed=seed, variant=variant)
 
 
+@pytest.mark.slow
 class TestCriterion1GradientSuite:
     def _layer_checks(self, seed):
         rng = np.random.default_rng(seed)
@@ -306,6 +307,7 @@ class TestCriterion7EndToEndLearning:
         assert elapsed < 600.0
 
 
+@pytest.mark.slow
 class TestCriterion8AblationOrdering:
     def test_full_variant_is_best_or_tied(self):
         train, val, test = synthetic_task(horizon=24)

@@ -6,6 +6,7 @@ import pytest
 from phasecast.errors import ConfigError
 from phasecast.experiment import ExperimentConfig
 from phasecast.model import Forecaster, ModelConfig, VARIANTS
+from phasecast.tensor import Tensor
 from phasecast.training import grad_check_model
 from reference_pipeline import reference_forward
 
@@ -51,6 +52,18 @@ class TestShapes:
             ModelConfig(num_variates=2, lookback=8, offsets=2, num_heads=3).validate()
         with pytest.raises(ConfigError):
             ModelConfig(num_variates=2, variant="bogus").validate()
+
+    def test_dropout_whose_keep_probability_rounds_to_zero_rejected(self):
+        ModelConfig(num_variates=2, dropout=1 - 2**-16).validate()  # keeps 1 in 2**16
+        with pytest.raises(ConfigError, match="dropout"):
+            ModelConfig(num_variates=2, dropout=1 - 2**-18).validate()
+
+    def test_tensor_input_of_another_dtype_rejected(self):
+        model = Forecaster(small_config(precision="float32")).eval()
+        x = np.zeros((2, 2, 8))
+        assert model.forward(Tensor(x.astype(np.float32))).data.dtype == np.float32
+        with pytest.raises(ConfigError, match="float64"):
+            model.forward(Tensor(x))
 
 
 class TestForwardSemantics:

@@ -78,6 +78,15 @@ class TestMatmul:
         fd = finite_difference(lambda: matmul(x, w).sum(), w)
         assert np.max(np.abs(w.grad - fd)) < 1e-7
 
+    def test_shared_weight_grad_matches_batched_sum(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((3, 4, 5, 6)))
+        w = Parameter(rng.standard_normal((6, 2)), "w")
+        g = rng.standard_normal((3, 4, 5, 2))
+        (matmul(x, w) * Tensor(g)).sum().backward()
+        expected = np.matmul(np.swapaxes(x.data, -1, -2), g).sum(axis=(0, 1))
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-12)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -112,6 +121,13 @@ class TestSoftmax:
         assert np.max(np.abs(p.grad - fd)) < 1e-7
 
 
+def whole_keep_mask(rng, shape, threshold):
+    """One whole draw of 16-bit thresholds, each matrix padded to whole 64-bit words."""
+    count, cells = int(np.prod(shape[:-2])), shape[-2] * shape[-1]
+    draws = rng.bit_generator.random_raw((count, -(-cells // 4))).view(np.uint16)
+    return draws[:, :cells].reshape(shape) < threshold
+
+
 def composed_attention(q, k, v, scale, rng=None, keep_prob=1.0):
     """The unfused tape composition the fused op must reproduce.
 
@@ -119,8 +135,9 @@ def composed_attention(q, k, v, scale, rng=None, keep_prob=1.0):
     """
     weights = softmax(matmul(q, transpose(k, (0, 1, 3, 2))) * scale, axis=-1)
     if rng is not None:
-        keep = rng.random(weights.shape) < keep_prob
-        weights = weights * Tensor(keep.astype(np.float64) / keep_prob)
+        threshold = round(keep_prob * 2**16)
+        keep = whole_keep_mask(rng, weights.shape, threshold)
+        weights = weights * Tensor(keep * (2**16 / threshold))
     return matmul(weights, v)
 
 
@@ -194,9 +211,24 @@ class TestFusedAttention:
         eye = Tensor(np.broadcast_to(np.eye(skv), (batch, heads, skv, skv)))
         op_rng, whole_rng = np.random.default_rng(3), np.random.default_rng(3)
         out = attention(zeros, Tensor(np.zeros((batch, heads, skv, skv))), eye, 1.0, op_rng, 0.6)
-        expected = whole_rng.random((batch, heads, sq, skv)) < 0.6
+        expected = whole_keep_mask(whole_rng, (batch, heads, sq, skv), round(0.6 * 2**16))
         np.testing.assert_array_equal(out.data != 0, expected)
-        assert op_rng.random() == whole_rng.random()
+        assert op_rng.bit_generator.random_raw() == whole_rng.bit_generator.random_raw()
+
+    def test_keep_prob_is_quantized_to_sixteen_bits(self):
+        # Equal weights 1/4 and v = I: a kept weight reads 1/4 * 2**16 / threshold.
+        zeros = Tensor(np.zeros((2, 3, 4, 4)))
+        out = attention(zeros, zeros, Tensor(np.broadcast_to(np.eye(4), (2, 3, 4, 4))), 1.0,
+                        np.random.default_rng(0), 0.9)
+        kept = out.data[out.data != 0]
+        assert kept.size > 0
+        np.testing.assert_allclose(kept * 4, 65536 / 58982, rtol=1e-15)
+
+    @pytest.mark.parametrize("keep_prob", [2**-18, 0.0, 1.0 + 2**-15])
+    def test_keep_prob_outside_sixteen_bit_steps_rejected(self, keep_prob):
+        x = Tensor(np.zeros((1, 1, 2, 2)))
+        with pytest.raises(ValueError, match="keep_prob"):
+            attention(x, x, x, 1.0, np.random.default_rng(0), keep_prob)
 
     def test_inference_memory_bounded_by_block(self):
         # Whole weights for these inputs would take 16*8*321*321*8 bytes, ~105 MB.
@@ -213,7 +245,7 @@ class TestFusedAttention:
         assert peak < 2 * tensor.ATTENTION_BLOCK_BYTES, peak
 
     def test_dropout_draws_bounded_by_block(self):
-        # One whole float64 draw for these weights would take ~105 MB.
+        # One whole mask for these weights would take ~13 MB, its draw ~26 MB.
         rng = np.random.default_rng(8)
         q, k, v = (Tensor(rng.standard_normal((16, 8, 321, 3))) for _ in range(3))
         tracemalloc.start()

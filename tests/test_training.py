@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasecast
 from phasecast.data import StandardScaler, make_windows, stack_windows
 from phasecast.errors import ConfigError, DataError
 from phasecast.model import Forecaster, ModelConfig
@@ -233,6 +239,35 @@ class TestTrainingRuns:
         assert len(live) == 2
         assert live[1] - live[0] < 2 * 2**20, live
 
+    def test_freed_steps_stay_mapped(self):
+        # A fresh process: a long-lived one may already have raised glibc's
+        # dynamic thresholds. Without a held heap each of the two measured
+        # steps faults about 2,400 pages back in after the last graph is freed.
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from phasecast.model import Forecaster, ModelConfig
+            from phasecast.training import TrainSchedule, train_model
+
+            rng = np.random.default_rng(0)
+            x, y = rng.standard_normal((64, 7, 96)), rng.standard_normal((64, 7, 96))
+
+            def run():
+                train_model(Forecaster(ModelConfig(num_variates=7)), (x, y), (x[:8], y[:8]),
+                            TrainSchedule(max_epochs=1, patience=1, batch_size=32))
+
+            run()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run()
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = str(Path(phasecast.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        faults = int(done.stdout)
+        assert faults < 500, faults
+
 
 class TestGradCheckHarness:
     def test_linear_model_is_nearly_exact(self):
@@ -257,6 +292,21 @@ class TestGradCheckHarness:
         report = grad_check(lambda: mse_loss(buggy_identity(matmul(x, w)), y), [w])
         assert not report.passed
         assert report.max_rel_error > 1e-3
+
+    def test_probes_run_without_a_tape(self):
+        rng = np.random.default_rng(3)
+        w = Parameter(rng.standard_normal((2, 2)), "w")
+        x = Tensor(rng.standard_normal((3, 2)))
+        modes = []
+
+        def loss_fn():
+            out = mse_loss(matmul(x, w), x)
+            modes.append(out.requires_grad)
+            return out
+
+        report = grad_check(loss_fn, [w])
+        assert modes == [True] + [False] * 8
+        assert report.coords_checked == 4
 
 
 class TestPredict:

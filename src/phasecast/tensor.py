@@ -2,8 +2,8 @@
 
 Every op computes its value eagerly with numpy and records a backward
 closure on the output node. Calling ``backward()`` on a scalar walks the
-recorded graph once in reverse topological order and accumulates
-gradients into every reachable node.
+recorded graph once in reverse topological order, accumulates gradients
+into every reachable leaf and consumes the graph as it goes.
 
 Data keeps its own dtype: float32 arrays stay float32 and everything else
 becomes float64. A plain Python number meeting a tensor in ``add``, ``sub``,
@@ -102,7 +102,14 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable node, starting from this scalar."""
+        """Accumulate ``grad`` into every reachable leaf, starting from this scalar.
+
+        Backward consumes the graph: once a recorded node has passed its
+        gradient on (or received none), its ``grad``, closure and parents are
+        dropped, so the arrays it kept for backward are freed while the walk
+        goes on. Leaves (parameters and inputs) keep their grads; a second
+        call adds nothing to them.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
@@ -123,9 +130,12 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                node.grad, node._backward_fn, node._parents = None, None, ()
 
     # ---- operator sugar --------------------------------------------------
 
@@ -455,10 +465,12 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul batch dimensions incompatible: {a.shape} vs {b.shape}: {err}") from None
 
     def backward_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         if b.ndim == 2 and a.ndim > 2:  # a shared weight: one GEMM over all rows
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            rows = g.reshape(-1, g.shape[-1])
+            ga = (rows @ b.data.T).reshape(a.shape)
+            gb = a.data.reshape(-1, a.shape[-1]).T @ rows
         else:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         a._accumulate(_unbroadcast(ga, a.shape))
         b._accumulate(_unbroadcast(gb, b.shape))
@@ -483,8 +495,12 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 # Bytes of exp weights in one attention block. ``attention`` works through
 # its flattened leading axes in blocks of about this size, so its working set
-# stays bounded however large the batch is.
-ATTENTION_BLOCK_BYTES = 8 * 2**20
+# stays bounded however large the batch is. 1 MiB keeps a block within a
+# core's L2 cache: the op makes about eight passes over each block's
+# [Sq, Skv] arrays in forward and again in backward, and each pass should
+# re-read L2 rather than stream from L3 or DRAM. At N = 321 that is one
+# 321 x 321 float64 matrix per block; small N fit many matrices.
+ATTENTION_BLOCK_BYTES = 2**20
 
 
 def keep_threshold(keep_prob: float) -> int:
@@ -512,12 +528,14 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
     ``keep_prob`` is ignored.
 
     The flattened leading axes are taken in blocks whose weights fill about
-    ``ATTENTION_BLOCK_BYTES``. No ``[Sq, Skv]`` array is scaled or normalized:
-    a block keeps its exp weights ``E = exp(s - rowmax(s))`` unnormalized, and
-    the per-row factor ``coef = (1 / keep_prob) / rowsum(E)`` multiplies the
-    ``[Sq, d]`` output instead (Rabe & Staats 2021). Every matrix is computed
-    on its own, so the block size changes no value, and taped and untaped
-    calls run the same arithmetic. Under ``no_grad`` each block's arrays are
+    ``ATTENTION_BLOCK_BYTES`` (1 MiB, at least one matrix), so the passes over
+    a block's ``[Sq, Skv]`` arrays re-read the core's L2 cache. No
+    ``[Sq, Skv]`` array is scaled or normalized: a block keeps its exp weights
+    ``E = exp(s - rowmax(s))`` unnormalized, and the per-row factor
+    ``coef = (1 / keep_prob) / rowsum(E)`` multiplies the ``[Sq, d]`` output
+    instead (Rabe & Staats 2021). Every matrix is computed on its own, so the
+    block size changes no value, and taped and untaped calls run the same
+    arithmetic. Under ``no_grad`` each block's arrays are
     reused by the next; otherwise backward keeps E, coef and the boolean
     masks, and uses ``D = rowsum(dO * O)`` for the softmax term (Dao et al.
     2022), so the normalized weights are never built.

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasecast
 from phasecast import experiment
 from phasecast.cli import main
 from phasecast.model import VARIANTS, Forecaster, ModelConfig
@@ -242,10 +245,11 @@ class TestMetricsScale:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
+        src = str(Path(phasecast.__file__).parents[1])
         result = subprocess.run(
             [sys.executable, "-m", "phasecast.cli", "synth",
              "--out", str(tmp_path / "s"), "--length", "32"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert result.returncode == 0
         assert (tmp_path / "s" / "sine_mixture.csv").exists()

@@ -80,12 +80,13 @@ class TestMatmul:
 
     def test_shared_weight_grad_matches_batched_sum(self):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal((3, 4, 5, 6)))
+        x = Parameter(rng.standard_normal((3, 4, 5, 6)), "x")
         w = Parameter(rng.standard_normal((6, 2)), "w")
         g = rng.standard_normal((3, 4, 5, 2))
         (matmul(x, w) * Tensor(g)).sum().backward()
         expected = np.matmul(np.swapaxes(x.data, -1, -2), g).sum(axis=(0, 1))
         np.testing.assert_allclose(w.grad, expected, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, np.matmul(g, w.data.T), rtol=1e-12)
 
 
 class TestSoftmax:
@@ -201,6 +202,24 @@ class TestFusedAttention:
         for whole, rowwise in zip(*results):
             assert np.array_equal(whole, rowwise)
 
+    @pytest.mark.parametrize("shape", [(4, 8, 321, 3), (1, 8, 321, 12)])
+    def test_block_size_changes_no_bit_at_benchmark_shapes(self, monkeypatch, shape):
+        # The N = 321 local and fusion attention shapes, with 8 MiB blocks
+        # (many matrices each) against the default (one matrix each).
+        rng = np.random.default_rng(9)
+        q, k, v, upstream = (rng.standard_normal(shape) for _ in range(4))
+        results = []
+        for block_bytes in (8 * 2**20, tensor.ATTENTION_BLOCK_BYTES):
+            monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", block_bytes)
+            params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
+            drop_rng = np.random.default_rng(10)
+            out = attention(*params, 1.0 / np.sqrt(shape[-1]), drop_rng, 0.9)
+            (out * Tensor(upstream)).sum().backward()
+            results.append([out.data] + [p.grad for p in params]
+                           + [drop_rng.bit_generator.random_raw()])
+        for large, small in zip(*results):
+            assert np.array_equal(large, small)
+
     @pytest.mark.parametrize("block_bytes", [tensor.ATTENTION_BLOCK_BYTES, 1])
     def test_blockwise_draws_match_one_whole_draw(self, monkeypatch, block_bytes):
         # Zero scores give equal weights, and v = I makes the output the kept
@@ -242,7 +261,8 @@ class TestFusedAttention:
         finally:
             tracemalloc.stop()
         assert out.shape == (16, 8, 321, 3)
-        assert peak < 2 * tensor.ATTENTION_BLOCK_BYTES, peak
+        # Besides the block: the scaled copy of q and the output, each q-sized.
+        assert peak < 2 * tensor.ATTENTION_BLOCK_BYTES + 2 * q.data.nbytes, peak
 
     def test_dropout_draws_bounded_by_block(self):
         # One whole mask for these weights would take ~13 MB, its draw ~26 MB.
@@ -256,7 +276,7 @@ class TestFusedAttention:
         finally:
             tracemalloc.stop()
         assert out.shape == (16, 8, 321, 3)
-        assert peak < 3 * tensor.ATTENTION_BLOCK_BYTES, peak
+        assert peak < 3 * tensor.ATTENTION_BLOCK_BYTES + 2 * q.data.nbytes, peak
 
     @pytest.mark.parametrize("score", ["-inf", "+inf", "nan"])
     def test_non_finite_score_names_attention(self, score):
@@ -410,6 +430,21 @@ class TestBackward:
         loss = (x * x + x).sum()
         loss.backward()
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_backward_consumes_the_graph(self):
+        rng = np.random.default_rng(12)
+        w = Parameter(rng.standard_normal((3, 2)), "w")
+        x = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
+        hidden = matmul(x, w)
+        squared = hidden.square()
+        loss = squared.mean()
+        loss.backward()
+        grads = [w.grad.copy(), x.grad.copy()]
+        for node in (hidden, squared, loss):
+            assert node.grad is None and node._backward_fn is None and node._parents == ()
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, grads[0])
+        np.testing.assert_array_equal(x.grad, grads[1])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_composite_mlp_matches_finite_differences(self, seed):

@@ -268,6 +268,8 @@ class Forecaster(Module):
                 raise ConfigError(
                     f"checkpoint entry {name} has shape {arr.shape}, expected {param.data.shape}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"checkpoint entry {name} holds NaN or Inf")
             param.data = arr.copy()
 
     def save_checkpoint(self, path) -> None:

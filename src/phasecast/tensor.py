@@ -496,20 +496,16 @@ def softmax(a, axis: int = -1) -> Tensor:
 # Bytes of exp weights in one attention block. ``attention`` works through
 # its flattened leading axes in blocks of about this size, so its working set
 # stays bounded however large the batch is. 1 MiB keeps a block within a
-# core's L2 cache: the op makes about eight passes over each block's
-# [Sq, Skv] arrays in forward and again in backward, and each pass should
-# re-read L2 rather than stream from L3 or DRAM. At N = 321 that is one
-# 321 x 321 float64 matrix per block; small N fit many matrices.
+# core's L2 cache: the op makes three passes over each block's [Sq, Skv]
+# arrays in forward (six with dropout) and about eight in backward, and each
+# pass should re-read L2 rather than stream from L3 or DRAM. At N = 321 that
+# is one 321 x 321 float64 matrix per block; small N fit many matrices.
 ATTENTION_BLOCK_BYTES = 2**20
 
 
 def keep_threshold(keep_prob: float) -> int:
     """The 16-bit dropout threshold ``round(keep_prob * 2**16)`` of ``attention``."""
     return round(keep_prob * 2**16)
-
-
-def _abs_max(a: np.ndarray) -> float:
-    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
 
 
 def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor:
@@ -528,22 +524,39 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
     ``keep_prob`` is ignored.
 
     The flattened leading axes are taken in blocks whose weights fill about
-    ``ATTENTION_BLOCK_BYTES`` (1 MiB, at least one matrix), so the passes over
-    a block's ``[Sq, Skv]`` arrays re-read the core's L2 cache. No
-    ``[Sq, Skv]`` array is scaled or normalized: a block keeps its exp weights
-    ``E = exp(s - rowmax(s))`` unnormalized, and the per-row factor
+    ``ATTENTION_BLOCK_BYTES`` (1 MiB, at least one matrix; untaped, the
+    augmented operands below take at most a quarter of it), so the passes
+    over a block's ``[Sq, Skv]`` arrays re-read the core's L2 cache. No
+    ``[Sq, Skv]`` array is scaled or normalized: a block keeps its exp
+    weights ``E = exp(s - m)`` unnormalized, and the per-row factor
     ``coef = (1 / keep_prob) / rowsum(E)`` multiplies the ``[Sq, d]`` output
-    instead (Rabe & Staats 2021). Every matrix is computed on its own, so the
-    block size changes no value, and taped and untaped calls run the same
-    arithmetic. Under ``no_grad`` each block's arrays are
-    reused by the next; otherwise backward keeps E, coef and the boolean
-    masks, and uses ``D = rowsum(dO * O)`` for the softmax term (Dao et al.
-    2022), so the normalized weights are never built.
+    instead (Rabe & Staats 2021), so any per-row shift ``m`` at or above the
+    row's largest score gives the same softmax. The shift is the
+    Cauchy-Schwarz bound ``m_i = |q_i * scale| * max_j |k_j|``, and the GEMMs
+    apply it: q gets a ``-m`` column and k a ones column, so the score GEMM
+    returns ``s - m`` and ``exp`` runs in place on it. Without dropout, v gets
+    a ones column too and the value GEMM ``E @ [v, 1]`` returns ``rowsum(E)``
+    as its last column; with dropout the factor needs the sum of the unmasked
+    E, which takes one pass. That leaves the score GEMM, ``exp`` and the value
+    GEMM as the passes over a block's ``[Sq, Skv]`` arrays, plus the sum, the
+    mask and its multiply with dropout. The augmented operands are built per
+    block in reused buffers.
 
-    The scores are scanned for non-finite values only when the
-    Cauchy-Schwarz bound ``d * max|q * scale| * max|k|`` on them reaches the
-    square root of the dtype's largest value; below it no score can
-    overflow. The error names ``attention``.
+    A matrix takes the exact path instead (score GEMM, a scan for
+    non-finite scores whose error names ``attention``, then the row max as
+    the shift) when one of its shifts is non-finite or at least half the
+    dtype's largest value, where ``s - m`` could overflow, or when one of
+    its shifted row sums is below the square root of the dtype's smallest
+    normal, where the bound overshot the row's scores and E underflowed (a
+    gap of about 354 in float64 and 44 in float32, so only float32 plausibly
+    meets it). A matrix is redone before its block's dropout draw, so the
+    stream is read the same.
+    Every matrix is computed on its own, so the block size changes no value,
+    and taped and untaped calls run the same arithmetic. Under ``no_grad``
+    each block's arrays are reused by the next; otherwise backward keeps E,
+    coef and the boolean masks, and uses ``D = rowsum(dO * O)`` for the
+    softmax term (Dao et al. 2022), so the normalized weights are never
+    built.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or q.shape[-1] != k.shape[-1] or k.shape != v.shape:
@@ -563,50 +576,89 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
         keep_prob, inv_keep = threshold / 2**16, 2**16 / threshold
         words = -(-sq * skv // 4)  # 64-bit words per matrix, four weights each
     scale, inv_keep = dtype.type(scale), dtype.type(inv_keep)
+    finfo = np.finfo(dtype)
+    max_shift, min_sum = finfo.max / 2, np.sqrt(finfo.tiny)
 
     def flat(a):
         return a.reshape((count,) + a.shape[-2:])
 
-    with np.errstate(over="ignore"):
-        qs = flat(q.data) * scale
-    ks, vs = flat(k.data), flat(v.data)
-    # Cauchy-Schwarz with |row| <= sqrt(d) * max|entry| bounds every score.
-    bound = d * _abs_max(qs) * _abs_max(ks)
-    scan = not bound < float(np.finfo(dtype).max) ** 0.5
-    rows = max(1, ATTENTION_BLOCK_BYTES // max(1, sq * skv * dtype.itemsize))
-    starts = range(0, count, rows)
+    qs, ks, vs = flat(q.data), flat(k.data), flat(v.data)
+    # Overflow and 0 * inf land in a shift that the guard rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_norm = np.sqrt(np.einsum("...i,...i->...", ks, ks).max(axis=-1, keepdims=True))
+        shift = np.sqrt(np.einsum("...i,...i->...", qs, qs)) * (k_norm * abs(scale))
+    unsafe = ~(shift < max_shift).all(axis=-1)
     taped = _GRAD_MODE.enabled and any(t.requires_grad for t in (q, k, v))
+    # E fills the block. Untaped, at small N the thin augmented operands
+    # below would outweigh it, so they take at most a quarter of the block;
+    # taped, the E kept from every block outweighs them anyway.
+    matrix_bytes = sq * skv * dtype.itemsize
+    if not taped:
+        aug_bytes = (2 if rng is None else 1) * (sq + skv) * (d + 1) * dtype.itemsize
+        matrix_bytes = max(matrix_bytes, 4 * aug_bytes)
+    rows = max(1, ATTENTION_BLOCK_BYTES // max(1, matrix_bytes))
+    starts = range(0, count, rows)
     shape = (min(rows, count), sq, skv)
-    reused = None if taped else np.empty(shape, dtype)  # E, when no block is kept
-    if rng is not None:
-        dropped = np.empty(shape, dtype)  # E * mask
+    # The score GEMM writes a reused, cache-warm buffer: into fresh memory it
+    # runs about twice as slow at N = 321. Untaped, exp runs there in place.
+    scores = np.empty(shape, dtype)
+    # [q * scale, -m] and [k, 1]^T; without dropout also [v, 1] and
+    # [E @ v, rowsum(E)]. The ones are written once. k is stored transposed
+    # because a GEMM against a transposed view is up to 3x slower at small N.
+    qa, kt = np.empty(shape[:2] + (d + 1,), dtype), np.ones((shape[0], d + 1, skv), dtype)
+    if rng is None:
+        va, oa = np.ones((shape[0], skv, d + 1), dtype), np.empty_like(qa)
+    else:
+        dropped = scores if taped else np.empty(shape, dtype)  # E * mask
         reused_mask = None if taped else np.empty(shape, bool)
 
     out = np.empty((count, sq, d), dtype)
     exps, coefs, masks = [], [], []  # kept per block for backward
-    for lo in starts:
-        block, n = slice(lo, lo + rows), min(rows, count - lo)
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = np.matmul(qs[block], np.swapaxes(ks[block], -1, -2),
-                          out=None if taped else reused[:n])
-        if scan:
-            _ensure_finite(e, "attention")
-        e -= e.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        coef = inv_keep / e.sum(axis=-1, keepdims=True)
-        mask, e_kept = None, e
-        if rng is not None:
-            draws = rng.bit_generator.random_raw((n, words)).view(np.uint16)
-            draws = draws[:, :sq * skv].reshape(n, sq, skv)
-            # `<= threshold - 1`: a threshold of 2**16 does not fit in uint16.
-            mask = np.less_equal(draws, threshold - 1, out=None if taped else reused_mask[:n])
-            e_kept = np.multiply(e, mask, out=dropped[:n])
-        np.matmul(e_kept, vs[block], out=out[block])
-        out[block] *= coef
-        if taped:
-            exps.append(e)
-            coefs.append(coef)
-            masks.append(mask)
+    # Only matrices the guard sends down the exact path can overflow here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in starts:
+            block, n = slice(lo, lo + rows), min(rows, count - lo)
+            qa_b, kt_b = qa[:n], kt[:n]
+            np.multiply(qs[block], scale, out=qa_b[..., :d])
+            np.negative(shift[block], out=qa_b[..., d])
+            kt_b[:, :d] = np.swapaxes(ks[block], -1, -2)
+            np.matmul(qa_b, kt_b, out=scores[:n])
+            e = np.exp(scores[:n], out=None if taped else scores[:n])
+            if rng is None:
+                va_b, oa_b = va[:n], oa[:n]
+                va_b[..., :d] = vs[block]
+                sums = np.matmul(e, va_b, out=oa_b)[..., d:]
+            else:
+                sums = e.sum(axis=-1, keepdims=True)
+            # The guard: redo these matrices on the exact path, shifted by
+            # their row maxima after a scan of the scores.
+            for i in np.flatnonzero(unsafe[block] | (sums < min_sum).any(axis=(1, 2))):
+                e_i = np.matmul(qa_b[i, :, :d], kt_b[i, :d], out=e[i])
+                _ensure_finite(e_i, "attention")
+                e_i -= e_i.max(axis=-1, keepdims=True)
+                np.exp(e_i, out=e_i)
+                if rng is None:
+                    np.matmul(e_i, va_b[i], out=oa_b[i])
+                else:
+                    sums[i] = e_i.sum(axis=-1, keepdims=True)
+            coef = inv_keep / sums
+            mask = None
+            if rng is None:
+                np.multiply(oa_b[..., :d], coef, out=out[block])
+            else:
+                draws = rng.bit_generator.random_raw((n, words)).view(np.uint16)
+                draws = draws[:, :sq * skv].reshape(n, sq, skv)
+                # `<= threshold - 1`: a threshold of 2**16 does not fit in uint16.
+                mask = np.less_equal(draws, threshold - 1,
+                                     out=None if taped else reused_mask[:n])
+                # v, not [v, 1]: at head size 12 an unused sum column would
+                # cost a quarter of this GEMM.
+                np.matmul(np.multiply(e, mask, out=dropped[:n]), vs[block], out=out[block])
+                out[block] *= coef
+            if taped:
+                exps.append(e)
+                coefs.append(coef)
+                masks.append(mask)
 
     def backward_fn(g):
         qs, ks, vs, gs = flat(q.data), flat(k.data), flat(v.data), flat(g)

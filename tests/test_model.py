@@ -207,6 +207,16 @@ class TestCheckpoint:
         restored = Forecaster.load_checkpoint(path)
         assert {p.data.dtype for p in restored.parameters()} == {np.dtype(np.float64)}
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_rejected(self, tmp_path, value):
+        path = tmp_path / "model.json"
+        Forecaster(small_config()).save_checkpoint(path)
+        payload = json.loads(path.read_text())
+        payload["params"]["head.weight"]["data"][3] = value
+        path.write_text(json.dumps(payload))  # json writes NaN and Infinity
+        with pytest.raises(ConfigError, match="head.weight"):
+            Forecaster.load_checkpoint(path)
+
     def test_mismatched_state_rejected(self):
         model = Forecaster(small_config())
         state = model.state_dict()

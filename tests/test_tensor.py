@@ -176,6 +176,77 @@ class TestFusedAttention:
             assert np.max(np.abs(fused - composed)) <= 1e-12
 
     @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 8, 321, 3), (1, 2, 321, 12)])
+    def test_matches_unfused_composition_at_benchmark_shapes(self, shape, masked):
+        rng = np.random.default_rng(11)
+        q, k, v, upstream = (rng.standard_normal(shape) for _ in range(4))
+        keep_prob = 0.9 if masked else 1.0
+        results = []
+        for op in (attention, composed_attention):
+            params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
+            out = op(*params, 1.0 / np.sqrt(shape[-1]), dropout_rng(11, masked), keep_prob)
+            (out * Tensor(upstream)).sum().backward()
+            results.append([out.data] + [p.grad for p in params])
+        for fused, composed in zip(*results):
+            assert np.max(np.abs(fused - composed)) <= 1e-12 * np.max(np.abs(composed))
+        if not masked:
+            with no_grad():
+                untaped = attention(Tensor(q), Tensor(k), Tensor(v), 1.0 / np.sqrt(shape[-1]))
+            assert np.array_equal(untaped.data, results[0][0])
+
+    @staticmethod
+    def gap_inputs(dtype, long):
+        """Inputs where the Cauchy-Schwarz shift overshoots the largest score.
+
+        In the first matrix q's rows are ``[a, 0]`` for a = 1, 0.55 and 0.01,
+        key 0 is ``[0, long]``, orthogonal to them, and the other keys are
+        ``[b, 0]`` with b at most 1. Row a's shift is ``a * long`` and its
+        largest score ``a``, a gap of ``a * (long - 1)``. The second matrix is
+        random and shares the block.
+        """
+        rng = np.random.default_rng(12)
+        q, k, v = (rng.standard_normal((2, 1, n, 2)) for n in (3, 4, 4))
+        q[0, 0] = [[1.0, 0.0], [0.55, 0.0], [0.01, 0.0]]
+        k[0, 0] = [[0.0, long], [1.0, 0.0], [0.5, 0.0], [-1.0, 0.0]]
+        upstream = rng.standard_normal(q.shape)
+        return [a.astype(dtype) for a in (q, k, v, upstream)]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_rows_the_shift_overshoots_match_unfused_composition(self, masked):
+        # Gaps of 800 (E underflows to 0), 440 (E near 1e-191) and 8.
+        q, k, v, upstream = self.gap_inputs(np.float64, 801.0)
+        results, draws = [], []  # draws: the next word of each generator
+        for op in (attention, composed_attention):
+            params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
+            drop_rng = dropout_rng(12, masked)
+            out = op(*params, 1.0, drop_rng, 0.7 if masked else 1.0)
+            (out * Tensor(upstream)).sum().backward()
+            results.append([out.data] + [p.grad for p in params])
+            if masked:
+                draws.append(drop_rng.bit_generator.random_raw())
+        for fused, composed in zip(*results):
+            assert np.max(np.abs(fused - composed)) <= 1e-12
+        # The redone matrix read the stream as one whole draw does.
+        if masked:
+            assert draws[0] == draws[1]
+
+    def test_float32_rows_the_shift_overshoots_track_float64(self):
+        # Gaps of 120 (float32 E underflows to 0), 66 and 1.2.
+        results = []
+        for dtype in (np.float32, np.float64):
+            q, k, v, upstream = self.gap_inputs(dtype, 121.0)
+            params = [Parameter(a, n) for a, n in ((q, "q"), (k, "k"), (v, "v"))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out = attention(*params, 1.0)
+                (out * Tensor(upstream)).sum().backward()
+            results.append([out.data] + [p.grad for p in params])
+        for single, double in zip(*results):
+            assert single.dtype == np.float32
+            assert np.all(np.isfinite(single))
+            np.testing.assert_allclose(single, double, rtol=1e-4, atol=1e-4 * np.abs(double).max())
+
+    @pytest.mark.parametrize("masked", [False, True])
     def test_gradients_match_finite_differences(self, masked):
         q, k, v, upstream = attention_inputs(5, 2, 2, 3, 4, 2)
         params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]

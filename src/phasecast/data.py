@@ -81,6 +81,12 @@ def _normalize_timestamps(raw: list) -> list:
 
 
 def load_csv(spec: DatasetSpec) -> Dataset:
+    """Read a dataset file; see the README's "Dataset format" for what it accepts.
+
+    A well-formed file is read by numpy's C reader in one pass. A file that
+    reader refuses (gaps to forward-fill, or a malformed file whose error must
+    name its line and column) is read again by the per-row loop.
+    """
     spec.validate()
     path = Path(spec.path)
     if not path.exists():
@@ -103,35 +109,15 @@ def load_csv(spec: DatasetSpec) -> Dataset:
         else:
             keep = list(range(len(header) - 1))
 
-        timestamps = []
-        rows = []
-        previous = None
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{line_no} has {len(row)} cells, expected {len(header)}")
-            timestamps.append(row[0])
-            parsed = []
-            for j in keep:
-                cell = row[1 + j].strip()
-                if cell == "":
-                    if spec.forward_fill and previous is not None:
-                        parsed.append(previous[len(parsed)])
-                        continue
-                    raise DataError(
-                        f"{path}:{line_no} column {header[1 + j]!r} is missing a value"
-                    )
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{line_no} column {header[1 + j]!r} is not numeric: {cell!r}"
-                    ) from None
-            rows.append(parsed)
-            previous = parsed
-    if not rows:
-        raise DataError(f"{path} has a header but no data rows")
+        table = _read_table(fh, len(header))
+        if table is not None:
+            timestamps, cells = table
+            values = cells.take([1 + j for j in keep], axis=1)
+        else:
+            fh.seek(0)
+            next(reader)  # back to the first data row
+            timestamps, values = _read_rows(reader, path, header, keep, spec.forward_fill)
 
-    values = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise DataError(f"{path} contains non-finite values")
 
@@ -144,6 +130,78 @@ def load_csv(spec: DatasetSpec) -> Dataset:
             timestamps = [timestamps[i] for i in order]
             values = values[order]
     return Dataset(names=names, timestamps=timestamps, values=values)
+
+
+def _read_table(fh, width: int):
+    """(timestamps, [rows, width] float64 cells) read by numpy's C reader, or None.
+
+    Column 0 of the cells is a placeholder; its text is in the timestamps.
+    None means the reader refused the rest of ``fh`` or would read it
+    differently from ``_read_rows``: it skips blank lines, drops a file with
+    no data rows and has no cell length limit, so a row count short of the
+    line count, a width other than the header's, an empty body, or a cell the
+    csv module would reject as too long is refused too.
+    """
+    lines = 0
+    timestamps = []
+    limit = csv.field_size_limit()
+
+    def counted():
+        nonlocal lines
+        for line in fh:
+            lines += 1
+            if len(line) > limit and max(map(len, line.split(","))) > limit:
+                raise ValueError("a cell is longer than the csv field limit")
+            yield line
+
+    def stamp(cell):
+        if len(cell) > limit:  # a quoted timestamp may span several comma pieces
+            raise ValueError("a timestamp is longer than the csv field limit")
+        timestamps.append(cell)
+        return 0.0
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's "no data" warning
+            cells = np.loadtxt(counted(), dtype=np.float64, delimiter=",", comments=None,
+                               quotechar='"', converters={0: stamp}, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if cells.shape != (lines, width):
+        return None
+    return timestamps, cells
+
+
+def _read_rows(reader, path: Path, header: list, keep: list, forward_fill: bool) -> tuple:
+    """(timestamps, [rows, len(keep)] values) parsed row by row with float()."""
+    timestamps = []
+    rows = []
+    previous = None
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{line_no} has {len(row)} cells, expected {len(header)}")
+        timestamps.append(row[0])
+        parsed = []
+        for j in keep:
+            cell = row[1 + j].strip()
+            if cell == "":
+                if forward_fill and previous is not None:
+                    parsed.append(previous[len(parsed)])
+                    continue
+                raise DataError(
+                    f"{path}:{line_no} column {header[1 + j]!r} is missing a value"
+                )
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"{path}:{line_no} column {header[1 + j]!r} is not numeric: {cell!r}"
+                ) from None
+        rows.append(parsed)
+        previous = parsed
+    if not rows:
+        raise DataError(f"{path} has a header but no data rows")
+    return timestamps, np.asarray(rows, dtype=np.float64)
 
 
 def split_bounds(length: int, ratio: str) -> tuple:
@@ -223,11 +281,17 @@ class PreparedData:
     test: tuple
 
 
-def prepare_windows(spec: DatasetSpec) -> PreparedData:
-    """Load, split, scale (train statistics only), and window a dataset."""
-    dataset = load_csv(spec)
+def prepare_windows(spec: DatasetSpec, source: PreparedData | None = None) -> PreparedData:
+    """Load, split, scale (train statistics only), and window a dataset.
+
+    ``source`` is an earlier result for the same file, split and columns. Its
+    dataset and scaler are reused and only the windows are rebuilt, so a run
+    over several horizons parses its file and fits its scaler once.
+    """
+    spec.validate()
+    dataset = load_csv(spec) if source is None else source.dataset
     (tr0, tr1), (va0, va1), (te0, te1) = split_bounds(dataset.length, spec.split_ratio)
-    scaler = StandardScaler.fit(dataset.values[tr0:tr1])
+    scaler = StandardScaler.fit(dataset.values[tr0:tr1]) if source is None else source.scaler
     values = scaler.transform(dataset.values)
     train = window_views(values, tr0, tr1, spec.lookback, spec.horizon)
     val = window_views(values, va0, va1, spec.lookback, spec.horizon)

@@ -235,9 +235,10 @@ def run_train(config: ExperimentConfig, out_dir, variant: str | None = None,
               horizons: list | None = None) -> dict:
     out = Path(out_dir)
     report = _report_skeleton(config, "train")
+    prepared = None
     for horizon in (horizons or config.horizons):
         started = time.perf_counter()
-        prepared = prepare_windows(config.dataset_spec(horizon))
+        prepared = prepare_windows(config.dataset_spec(horizon), prepared)
         raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
         n = prepared.dataset.num_variates
         model_cfg = config.model_config(n, horizon, variant)
@@ -264,8 +265,9 @@ def run_eval(config: ExperimentConfig, out_dir, variant: str | None = None,
              horizons: list | None = None) -> dict:
     out = Path(out_dir)
     report = _report_skeleton(config, "eval")
+    prepared = None
     for horizon in (horizons or config.horizons):
-        prepared = prepare_windows(config.dataset_spec(horizon))
+        prepared = prepare_windows(config.dataset_spec(horizon), prepared)
         raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
         variant_tag = variant or config.model.get("variant", "full")
         ckpt_path = out / _checkpoint_name(horizon, variant_tag)

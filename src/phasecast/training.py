@@ -65,15 +65,20 @@ class Adam:
             p.zero_grad()
 
     def step(self) -> None:
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        # Every gradient is scanned before any update, so a non-finite one
+        # leaves the parameters, the moments and t as they were.
+        grads = []
         for p in self.params:
             if not p.trainable:
                 continue
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError(f"non-finite gradient for {p.name}")
+            grads.append((p, g))
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p, g in grads:
             m = self.m[id(p)]
             v = self.v[id(p)]
             m *= self.beta1

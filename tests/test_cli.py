@@ -272,3 +272,47 @@ class TestPrecisionIsRestored:
 
         fresh = Forecaster(ModelConfig(num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2))
         assert {p.data.dtype for p in fresh.parameters()} == {np.dtype(np.float64)}
+
+
+class TestParseOncePerRun:
+    @pytest.fixture
+    def two_horizons(self, tmp_path, tiny_config, monkeypatch):
+        from phasecast import data
+
+        loads = []
+        real = data.load_csv
+
+        def counting(spec):
+            loads.append(spec.horizon)
+            return real(spec)
+
+        monkeypatch.setattr(data, "load_csv", counting)
+        _, raw = tiny_config
+        return experiment.ExperimentConfig.from_dict({**raw, "horizons": [3, 4]}), loads
+
+    @staticmethod
+    def without_wall_time(report):
+        for run in report["runs"]:
+            run.pop("wall_time_s", None)
+            run.get("train_report", {}).pop("wall_time_s", None)
+        return report
+
+    def test_train_and_eval_parse_the_file_once(self, tmp_path, two_horizons):
+        config, loads = two_horizons
+        trained = experiment.run_train(config, tmp_path / "out")
+        assert loads == [3]
+        evaluated = experiment.run_eval(config, tmp_path / "out")
+        assert loads == [3, 3]
+        assert [r["horizon"] for r in evaluated["runs"]] == [3, 4]
+        assert [r["metrics"] for r in evaluated["runs"]] == [r["metrics"] for r in trained["runs"]]
+
+    def test_two_horizon_run_matches_one_run_per_horizon(self, tmp_path, two_horizons):
+        config, _ = two_horizons
+        both = self.without_wall_time(experiment.run_train(config, tmp_path / "both"))
+        singles = [self.without_wall_time(experiment.run_train(config, tmp_path / f"h{h}", horizons=[h]))
+                   for h in (3, 4)]
+        assert json.dumps(both["runs"]) == json.dumps([s["runs"][0] for s in singles])
+        for horizon in (3, 4):
+            name = experiment._checkpoint_name(horizon, "full")
+            assert (tmp_path / "both" / name).read_bytes() == \
+                (tmp_path / f"h{horizon}" / name).read_bytes()

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -216,6 +217,21 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))  # json writes NaN and Infinity
         with pytest.raises(ConfigError, match="head.weight"):
             Forecaster.load_checkpoint(path)
+
+    def test_file_text_is_what_json_dump_writes(self, tmp_path):
+        model = Forecaster(small_config(seed=11))
+        path = tmp_path / "model.json"
+        model.save_checkpoint(path)
+        payload = {
+            "magic": "PHASECAST-CKPT",
+            "version": 1,
+            "config": model.config.to_dict(),
+            "params": {p.name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
+                       for p in model.parameters()},
+        }
+        expected = io.StringIO()
+        json.dump(payload, expected)
+        assert path.read_text() == expected.getvalue()
 
     def test_mismatched_state_rejected(self):
         model = Forecaster(small_config())

@@ -137,6 +137,22 @@ class TestAdam:
             Adam([theta], lr=0.1).step()
 
 
+    def test_non_finite_gradient_changes_nothing(self):
+        a = Parameter(np.array([1.0]), "a")
+        b = Parameter(np.array([2.0]), "b")
+        opt = Adam([a, b])
+        a.grad = np.array([1.0])
+        b.grad = np.array([np.nan])
+        with pytest.raises(NonFiniteError, match="for b"):
+            opt.step()
+        assert (a.data[0], b.data[0], opt.t) == (1.0, 2.0, 0)
+        assert not any(moment.any() for moment in (*opt.m.values(), *opt.v.values()))
+
+        b.grad = np.array([-1.0])  # the retried step is a whole first step
+        opt.step()
+        np.testing.assert_allclose([a.data[0], b.data[0]], [0.997, 2.003], rtol=1e-9)
+        assert opt.t == 1
+
 class TestEarlyStopping:
     def test_injected_monotone_worsening_patience_three(self):
         model = tiny_model()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import phasecast
-from phasecast import experiment
+from phasecast import data, experiment
 from phasecast.cli import main
 from phasecast.model import VARIANTS, Forecaster, ModelConfig
 from phasecast.synthetic import sine_mixture, write_series_csv
@@ -277,8 +277,6 @@ class TestPrecisionIsRestored:
 class TestParseOncePerRun:
     @pytest.fixture
     def two_horizons(self, tmp_path, tiny_config, monkeypatch):
-        from phasecast import data
-
         loads = []
         real = data.load_csv
 

@@ -20,11 +20,11 @@ from .tensor import (
     attention,
     conv1d_same,
     gaussian_rbf,
+    kan,
+    layer_norm,
     matmul,
     reshape,
     softmax,
-    sqrt,
-    square,
     tanh,
     transpose,
 )
@@ -107,11 +107,7 @@ class LayerNorm(Module):
         x = as_tensor(x)
         if x.shape[-1] != self.dim:
             raise ShapeError(f"layer norm expects last dim {self.dim}, got {x.shape}")
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = square(centered).mean(axis=-1, keepdims=True)
-        normed = centered / sqrt(var + self.eps)
-        return normed * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 def gelu(x) -> Tensor:
@@ -224,7 +220,7 @@ class GaussianKanLayer(Module):
             raise ShapeError(f"kan expects last dim {self.in_dim}, got {x.shape}")
         if self.prenorm is not None:
             x = self.prenorm(x)
-        return matmul(self.rbf_features(x), self.weights)
+        return kan(x, self.centers, self.bandwidth, self.weights)
 
 
 class MlpBlock(Module):

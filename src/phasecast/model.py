@@ -172,20 +172,21 @@ class InteractionBlock(Module):
 
     def forward(self, h: Tensor) -> Tensor:
         cfg = self.config
-        stacked = split_offsets(h, cfg.offsets)  # [O*B, N, T]
-        mixed = self.mixers[0](stacked) if self.mixers else stacked
-
-        if cfg.variant == "mote-only":
-            attended = mixed
-        elif cfg.variant == "no-trans":
-            attended = mixed + mixed
-        else:
-            attended = mixed + self.attn_local(mixed, mixed, mixed)
-        merged = merge_offsets(attended, cfg.offsets)
+        # Each stage rebinds `a`, so without a tape a stage's input is freed
+        # once its output exists: the fusion attention then runs beside h and
+        # the merged phases only.
+        a = split_offsets(h, cfg.offsets)  # [O*B, N, T]
+        if self.mixers:
+            a = self.mixers[0](a)
+        if cfg.variant == "no-trans":
+            a = a + a
+        elif cfg.variant != "mote-only":
+            a = a + self.attn_local(a, a, a)
+        a = merge_offsets(a, cfg.offsets)
 
         if cfg.variant in ("mote-only", "no-trans"):
-            return h + merged
-        return h + self.attn_fusion(merged, h, h)
+            return h + a
+        return h + self.attn_fusion(a, h, h)
 
 
 class Forecaster(Module):

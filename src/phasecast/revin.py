@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Module
-from .tensor import Parameter, ShapeError, Tensor, as_tensor, reshape
+from .tensor import (
+    Parameter,
+    ShapeError,
+    Tensor,
+    as_tensor,
+    revin_denormalize,
+    revin_normalize,
+)
 
 
 @dataclass
@@ -41,12 +48,6 @@ class RevIN(Module):
     def parameters(self):
         return [self.gamma, self.beta] if self.affine else []
 
-    def _affine_views(self):
-        # [N] -> [1, N, 1] so the affine broadcasts over batch and time
-        gamma = reshape(self.gamma, (1, self.num_variates, 1))
-        beta = reshape(self.beta, (1, self.num_variates, 1))
-        return gamma, beta
-
     def normalize(self, x) -> tuple[Tensor, RevinState]:
         x = as_tensor(x)
         if x.ndim != 3 or x.shape[1] != self.num_variates:
@@ -59,11 +60,7 @@ class RevIN(Module):
         var = x.data.var(axis=2, keepdims=True)  # population variance
         std = np.maximum(np.sqrt(var), self.eps)
         state = RevinState(mean=mean, std=std)
-        standardized = (x - Tensor(mean)) / Tensor(std)
-        if self.affine:
-            gamma, beta = self._affine_views()
-            standardized = standardized * gamma + beta
-        return standardized, state
+        return revin_normalize(x, mean, std, self.gamma, self.beta), state
 
     def denormalize(self, y, state: RevinState) -> Tensor:
         y = as_tensor(y)
@@ -71,8 +68,5 @@ class RevIN(Module):
             raise ShapeError(
                 f"denormalize shape {y.shape} does not match state batch {state.mean.shape[:2]}"
             )
-        if self.affine:
-            gamma, beta = self._affine_views()
-            # The eps^2 floor (as in reference RevIN) keeps gamma = 0 finite.
-            y = (y - beta) / (gamma + self.eps ** 2)
-        return y * Tensor(state.std) + Tensor(state.mean)
+        # The eps^2 floor (as in reference RevIN) keeps gamma = 0 finite.
+        return revin_denormalize(y, state.mean, state.std, self.gamma, self.beta, self.eps)

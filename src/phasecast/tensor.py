@@ -14,6 +14,14 @@ immediately instead of letting NaNs propagate into training.
 
 Inside ``no_grad()`` ops compute their values but record nothing, so an
 inference forward keeps no intermediate arrays alive.
+
+Gradient ownership: a backward closure never writes into the gradient it
+receives, nor into an array after passing it to a parent. An interior node
+therefore holds the first gradient it receives by reference, without a copy,
+when its dtype and shape already match; a second one is added out of place
+(``grad + g``). Leaves own their grads: a plain tensor copies its first
+gradient and a ``Parameter`` adds into its zeroed one, so code outside the
+tape may write into a leaf's ``grad``.
 """
 
 from __future__ import annotations
@@ -97,7 +105,11 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            if self._backward_fn is not None and g.dtype == self.data.dtype \
+                    and g.shape == self.data.shape:
+                self.grad = g  # borrowed: see "Gradient ownership" above
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad = self.grad + g
 
@@ -493,13 +505,14 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make_output(data, (a,), backward_fn, "softmax")
 
 
-# Bytes of exp weights in one attention block. ``attention`` works through
-# its flattened leading axes in blocks of about this size, so its working set
-# stays bounded however large the batch is. 1 MiB keeps a block within a
-# core's L2 cache: the op makes three passes over each block's [Sq, Skv]
-# arrays in forward (six with dropout) and about eight in backward, and each
-# pass should re-read L2 rather than stream from L3 or DRAM. At N = 321 that
-# is one 321 x 321 float64 matrix per block; small N fit many matrices.
+# Bytes of exp weights in one attention block, and of features in one
+# ``kan`` block. Both ops work through their flattened leading axes in blocks
+# of about this size, so their working set stays bounded however large the
+# batch is. 1 MiB keeps a block within a core's L2 cache: attention makes
+# three passes over each block's [Sq, Skv] arrays in forward (six with
+# dropout) and about eight in backward, and each pass should re-read L2
+# rather than stream from L3 or DRAM. At N = 321 that is one 321 x 321
+# float64 matrix per block; small N fit many matrices.
 ATTENTION_BLOCK_BYTES = 2**20
 
 
@@ -661,7 +674,7 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
                 masks.append(mask)
 
     def backward_fn(g):
-        qs, ks, vs, gs = flat(q.data), flat(k.data), flat(v.data), flat(g)
+        gs = flat(g)
         gq, gk, gv = np.empty_like(qs), np.empty_like(ks), np.empty_like(vs)
         buf = np.empty(shape, dtype)  # E * mask, then the score gradient
         for lo, e, coef, mask in zip(starts, exps, coefs, masks):
@@ -687,6 +700,19 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
     return _make_output(out.reshape(q.shape), (q, k, v), backward_fn, "attention")
 
 
+def _expand(x: np.ndarray, centers: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """Write the ``[..., D, K]`` features ``exp(scale * (x - c)^2)`` into ``out``.
+
+    A far-off x squares to inf and its feature to ``exp(-inf) = 0``, which
+    is no error, so overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        np.subtract(x[..., None], centers, out=out)
+        out *= out
+        out *= scale
+        return np.exp(out, out=out)
+
+
 def gaussian_rbf(x, centers: np.ndarray, bandwidth: float) -> Tensor:
     """Expand ``[..., D]`` to ``[..., D * K]`` Gaussian basis activations.
 
@@ -700,10 +726,7 @@ def gaussian_rbf(x, centers: np.ndarray, bandwidth: float) -> Tensor:
     x = as_tensor(x)
     centers = centers.astype(x.data.dtype, copy=False)
     scale = -1.0 / (2.0 * bandwidth * bandwidth)
-    feats = x.data[..., None] - centers  # [..., D, K]
-    feats *= feats
-    feats *= scale
-    np.exp(feats, out=feats)
+    feats = _expand(x.data, centers, scale, np.empty(x.shape + centers.shape, x.data.dtype))
 
     def backward_fn(g):
         gx = g.reshape(feats.shape) * feats
@@ -713,6 +736,174 @@ def gaussian_rbf(x, centers: np.ndarray, bandwidth: float) -> Tensor:
         x._accumulate(gx.sum(axis=-1))
 
     return _make_output(feats.reshape(x.shape[:-1] + (-1,)), (x,), backward_fn, "rbf")
+
+
+def layer_norm(x, gamma, beta, eps: float) -> Tensor:
+    """Normalize the last axis of x, then scale by gamma and shift by beta.
+
+    Computes ``(x - mean) / s * gamma + beta`` with ``s = sqrt(var + eps)``
+    (population variance), through the numpy calls of the mean / sub /
+    square / mean / add / sqrt / div / mul / add composition it replaces, so
+    both give the same output bit for bit. Backward keeps the normalized
+    input ``n`` and ``s``, and with ``gn = g * gamma`` uses
+    ``gx = (gn - mean(gn) - n * mean(gn * n)) / s``.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    dim = x.shape[-1]
+    if gamma.shape != (dim,) or beta.shape != (dim,):
+        raise ShapeError(f"layer norm over {x.shape} needs gamma and beta of shape ({dim},), "
+                         f"got {gamma.shape} and {beta.shape}")
+    # Overflow lands in s or the output, and both are checked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        normed = x.data - x.data.mean(axis=-1, keepdims=True)
+        var = (normed * normed).mean(axis=-1, keepdims=True)
+        s = np.sqrt(var + np.asarray(eps, x.data.dtype))
+        _ensure_finite(s, "layer_norm")
+        np.divide(normed, s, out=normed)
+        taped = _GRAD_MODE.enabled and any(t.requires_grad for t in (x, gamma, beta))
+        data = np.multiply(normed, gamma.data, out=None if taped else normed)
+        data += beta.data
+
+    def backward_fn(g):
+        g_normed = g * normed
+        gamma._accumulate(g_normed.reshape(-1, dim).sum(axis=0))
+        beta._accumulate(g.reshape(-1, dim).sum(axis=0))
+        # mean(gn) and mean(gn * n) as matrix-vector products with gamma
+        gx = g * gamma.data
+        gx -= (np.matmul(g, gamma.data) / dim)[..., None]
+        gx -= normed * (np.matmul(g_normed, gamma.data) / dim)[..., None]
+        gx /= s
+        x._accumulate(gx)
+
+    return _make_output(data, (x, gamma, beta), backward_fn, "layer_norm")
+
+
+def kan(x, centers: np.ndarray, bandwidth: float, w) -> Tensor:
+    """Gaussian-RBF KAN layer: ``gaussian_rbf(x, centers, bandwidth) @ w`` as one op.
+
+    x is ``[..., D]`` and w ``[D * K, out]`` for the K ``centers``. The
+    flattened rows of x are taken in blocks whose features fill about
+    ``ATTENTION_BLOCK_BYTES``; each block's features are built in place as
+    ``gaussian_rbf`` builds them and multiplied by w while they are in
+    cache. Untaped, every block reuses one buffer, so the ``[..., D * K]``
+    features are never whole; taped, the blocks fill one kept feature array
+    F. Backward works through the same blocks: ``gF = (g @ w^T) * F``,
+    ``gw`` is the sum of the blocks' ``F^T @ g``, and
+    ``gx = 2 * scale * (x * sum_k gF - gF @ centers)`` with
+    ``scale = -1 / (2 h^2)``, three passes over the features. Summing ``gw``
+    per block reorders its sums, so the op matches the composition within
+    about 1e-12 relative rather than bit for bit.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    dim, num_centers = x.shape[-1], centers.size
+    if w.ndim != 2 or w.shape[0] != dim * num_centers:
+        raise ShapeError(f"kan over {x.shape} with {num_centers} centers needs weights "
+                         f"[{dim * num_centers}, out], got {w.shape}")
+    dtype = x.data.dtype
+    centers = centers.astype(dtype, copy=False)
+    scale = -1.0 / (2.0 * bandwidth * bandwidth)
+    xs = x.data.reshape(-1, dim)
+    count, width = xs.shape[0], dim * num_centers
+    rows = max(1, ATTENTION_BLOCK_BYTES // (width * dtype.itemsize))
+    starts = range(0, count, rows)
+    taped = _GRAD_MODE.enabled and (x.requires_grad or w.requires_grad)
+    feats = np.empty((count if taped else min(rows, count), dim, num_centers), dtype)
+    out = np.empty((count, w.shape[1]), np.result_type(dtype, w.data.dtype))
+    with np.errstate(over="ignore"):  # an overflowing output fails the output check
+        for lo in starts:
+            block, n = slice(lo, lo + rows), min(rows, count - lo)
+            f = _expand(xs[block], centers, scale, feats[block] if taped else feats[:n])
+            np.matmul(f.reshape(n, width), w.data, out=out[block])
+
+    def backward_fn(g):
+        gs = g.reshape(-1, g.shape[-1])
+        gx, gw = np.empty_like(xs), np.zeros_like(w.data)
+        buf = np.empty((min(rows, count), width), dtype)  # the feature gradient gF
+        for lo in starts:
+            block, n = slice(lo, lo + rows), min(rows, count - lo)
+            f, g_b = feats[block].reshape(n, width), gs[block]
+            gw += f.T @ g_b
+            gf = np.matmul(g_b, w.data.T, out=buf[:n])
+            gf *= f
+            gf = gf.reshape(n, dim, num_centers)
+            gx_b = np.sum(gf, axis=-1, out=gx[block])
+            gx_b *= xs[block]
+            gx_b -= gf @ centers
+            gx_b *= 2.0 * scale
+        x._accumulate(gx.reshape(x.shape))
+        w._accumulate(gw)
+
+    return _make_output(out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w), backward_fn, "kan")
+
+
+def revin_normalize(x, mean: np.ndarray, std: np.ndarray, gamma=None, beta=None) -> Tensor:
+    """RevIN's forward transform ``(x - mean) / std * gamma + beta`` for x ``[B, N, L]``.
+
+    ``mean`` and ``std`` are ``[B, N, 1]`` arrays taken from x's data and
+    are constants of the tape. ``gamma`` and ``beta`` are ``[N]`` tensors
+    applied per variate, or both None for no affine. The numpy calls are
+    those of the sub / div / mul / add composition it replaces, so the
+    output is the same bit for bit. Backward keeps ``z = (x - mean) / std``
+    when there is an affine.
+    """
+    x = as_tensor(x)
+    z = x.data - mean
+    z /= std
+    if gamma is None:
+        data, parents = z, (x,)
+    else:
+        gamma, beta = as_tensor(gamma), as_tensor(beta)
+        with np.errstate(over="ignore"):  # caught by the output check
+            data = z * gamma.data.reshape(-1, 1)
+            data += beta.data.reshape(-1, 1)
+        parents = (x, gamma, beta)
+
+    def backward_fn(g):
+        if gamma is None:
+            x._accumulate(g / std)
+            return
+        gamma._accumulate((g * z).sum(axis=(0, 2)))
+        beta._accumulate(g.sum(axis=(0, 2)))
+        gx = g * gamma.data.reshape(-1, 1)
+        gx /= std
+        x._accumulate(gx)
+
+    return _make_output(data, parents, backward_fn, "revin_normalize")
+
+
+def revin_denormalize(y, mean: np.ndarray, std: np.ndarray, gamma=None, beta=None,
+                      eps: float = 0.0) -> Tensor:
+    """RevIN's inverse transform ``(y - beta) / (gamma + eps^2) * std + mean``.
+
+    Shapes and constants are those of ``revin_normalize``; without an
+    affine it is ``y * std + mean``. The ``eps^2`` floor keeps a gamma of 0
+    finite. The numpy calls are those of the composition it replaces, so
+    the output is the same bit for bit. Backward keeps
+    ``u = (y - beta) / (gamma + eps^2)`` when there is an affine.
+    """
+    y = as_tensor(y)
+    # A gamma of exactly -eps^2 divides by zero; the output check catches it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if gamma is None:
+            u, parents = y.data, (y,)
+        else:
+            gamma, beta = as_tensor(gamma), as_tensor(beta)
+            denom = gamma.data.reshape(-1, 1) + np.asarray(eps ** 2, gamma.data.dtype)
+            u = y.data - beta.data.reshape(-1, 1)
+            u /= denom
+            parents = (y, gamma, beta)
+        data = u * std
+        data += mean
+
+    def backward_fn(g):
+        gu = g * std
+        if gamma is not None:
+            gu /= denom
+            beta._accumulate(-gu.sum(axis=(0, 2)))
+            gamma._accumulate(-(gu * u).sum(axis=(0, 2)))
+        y._accumulate(gu)
+
+    return _make_output(data, parents, backward_fn, "revin_denormalize")
 
 
 def conv1d_same(x, w, b) -> Tensor:

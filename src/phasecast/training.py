@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -44,6 +45,12 @@ class TrainSchedule:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be non-negative, got {self.learning_rate}")
+        # A clip norm <= 0 flips or zeroes every gradient; a decay <= 0 zeroes
+        # or flips the learning rate after the first epoch.
+        for name in ("clip_norm", "lr_decay"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 class Adam:
@@ -128,6 +135,8 @@ def predict(model, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
     This is the one inference path: validation and test both go through it.
     The model's training flag is restored afterwards, also when a batch raises.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be positive, got {batch_size}")
     if inputs.shape[0] == 0:
         raise DataError("evaluation over an empty window set")
     was_training = model.training

@@ -11,6 +11,7 @@ import pytest
 import phasecast
 from phasecast import data, experiment
 from phasecast.cli import main
+from phasecast.errors import ConfigError
 from phasecast.model import VARIANTS, Forecaster, ModelConfig
 from phasecast.synthetic import sine_mixture, write_series_csv
 
@@ -211,6 +212,23 @@ class TestErrorExits:
         config_path, _ = tiny_config
         assert main(["train", "--config", str(config_path),
                      "--out", str(tmp_path / "o"), "--variant", "bogus"]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("inf")),
+        ("clip_norm", float("nan")), ("lr_decay", 0.0), ("lr_decay", -0.5),
+        ("lr_decay", float("inf")), ("lr_decay", float("nan")),
+    ])
+    def test_schedule_value_not_positive_and_finite(self, tmp_path, tiny_config, key, value):
+        # A clip norm <= 0 flips or zeroes the gradients; a decay <= 0 zeroes
+        # or flips the learning rate after the first epoch.
+        _, config = tiny_config
+        config["train"][key] = value
+        with pytest.raises(ConfigError, match=key):
+            experiment.ExperimentConfig.from_dict(config).schedule()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))  # inf and nan as JSON's Infinity and NaN
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigRoundTrip:

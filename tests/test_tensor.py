@@ -15,14 +15,20 @@ from phasecast.tensor import (
     Parameter,
     ShapeError,
     Tensor,
+    _make_output,
     attention,
     conv1d_same,
     exp,
     gaussian_rbf,
+    kan,
+    layer_norm,
     matmul,
     no_grad,
     reshape,
+    revin_denormalize,
+    revin_normalize,
     softmax,
+    sqrt,
     square,
     transpose,
 )
@@ -369,6 +375,29 @@ class TestFusedAttention:
         with pytest.raises(NonFiniteError, match="attention"):
             attention(big, big, big, 1.0)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_head_split_views_match_contiguous_copies(self, masked):
+        # MultiHeadAttention hands the op [B, S, H, hd] arrays seen as [B, H, S, hd].
+        rng = np.random.default_rng(14)
+        arrays = [rng.standard_normal((3, 5, 2, 4)) for _ in range(3)]
+        upstream = rng.standard_normal((3, 2, 5, 4))
+        results = []
+        for split in (lambda p: transpose(p, (0, 2, 1, 3)), None):
+            if split is None:  # contiguous copies, gradients read back in [B, S, H, hd]
+                params = [Parameter(np.ascontiguousarray(a.transpose(0, 2, 1, 3)), "p")
+                          for a in arrays]
+                inputs = params
+            else:
+                params = [Parameter(a, "p") for a in arrays]
+                inputs = [split(p) for p in params]
+                assert not inputs[0].data.flags.c_contiguous
+            out = attention(*inputs, 0.5, dropout_rng(14, masked), 0.8 if masked else 1.0)
+            (out * Tensor(upstream)).sum().backward()
+            grads = [p.grad if split else p.grad.transpose(0, 2, 1, 3) for p in params]
+            results.append([out.data] + grads)
+        for views, copies in zip(*results):
+            assert np.array_equal(views, copies)
+
     def test_float32_with_dropout_tracks_float64(self):
         q, k, v, upstream = attention_inputs(4, 2, 3, 6, 5, 4)
         results = []
@@ -383,6 +412,292 @@ class TestFusedAttention:
         for single, double in zip(*results):
             assert single.dtype == np.float32
             np.testing.assert_allclose(single, double, rtol=1e-4, atol=1e-4 * np.abs(double).max())
+
+
+def run_with_grads(build, arrays, upstream):
+    """The output of ``build`` over Parameters holding ``arrays``, then each Parameter's grad."""
+    params = [Parameter(a, f"p{i}") for i, a in enumerate(arrays)]
+    out = build(*params)
+    (out * Tensor(upstream)).sum().backward()
+    return [out.data] + [p.grad for p in params]
+
+
+def assert_fused_matches(fused, composed, scales, bitwise_forward):
+    """Each fused array equals the composed one within 1e-12 of its term scale (1e-5 in float32).
+
+    ``scales`` holds, per array, the same sums taken over the magnitudes of
+    their terms, so a value that cancels to near zero is judged on the size
+    of what cancelled. Below the smallest normal number relative precision
+    ends, so that is the absolute floor. The forward may be required to
+    match bit for bit.
+    """
+    dtype = composed[0].dtype
+    tolerance = 1e-12 if dtype == np.float64 else 1e-5
+    for i, (got, want, scale) in enumerate(zip(fused, composed, scales)):
+        assert got.dtype == want.dtype == dtype
+        if i == 0 and bitwise_forward:
+            assert np.array_equal(got, want)
+        assert np.all(np.abs(got - want) <= tolerance * scale + np.finfo(dtype).tiny)
+
+
+def composed_layer_norm(x, gamma, beta, eps):
+    """The mean / sub / square / div / mul / add composition ``layer_norm`` replaces."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = square(centered).mean(axis=-1, keepdims=True)
+    return centered / sqrt(var + eps) * gamma + beta
+
+
+def revin_statistics(x, eps):
+    """RevIN's window mean and floored population std of ``x`` [B, N, L]."""
+    std = np.maximum(np.sqrt(x.var(axis=2, keepdims=True)), eps)
+    return x.mean(axis=2, keepdims=True), std
+
+
+dtypes = st.sampled_from([np.float32, np.float64])
+
+
+class TestFusedLayers:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lead=st.lists(st.integers(1, 4), max_size=3),
+           dim=st.integers(1, 6), eps=st.floats(1e-6, 0.1), dtype=dtypes)
+    def test_layer_norm_matches_composition(self, seed, lead, dim, eps, dtype):
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (dim,)
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2) + rng.uniform(-3, 3)
+        arrays = [x.astype(dtype), rng.uniform(-2, 2, dim).astype(dtype),
+                  rng.uniform(-1, 1, dim).astype(dtype)]
+        upstream = rng.standard_normal(shape).astype(dtype)
+        fused = run_with_grads(lambda *p: layer_norm(*p, eps), arrays, upstream)
+        composed = run_with_grads(lambda *p: composed_layer_norm(*p, eps), arrays, upstream)
+        # Term scales in float64: gx sums g * gamma, its mean and n times the
+        # mean of g * gamma * n, each over s; gamma and beta sum g * n and g.
+        x, gamma, beta = (a.astype(np.float64) for a in arrays)
+        g = np.abs(upstream.astype(np.float64))
+        s = np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+        n = np.abs(x - x.mean(axis=-1, keepdims=True)) / s
+        rows = (-1, dim)
+        x_terms = (g * np.abs(gamma)).max(axis=-1, keepdims=True) \
+            * (2 + (n * n).max(axis=-1, keepdims=True)) / s
+        scales = [np.abs(n * gamma) + np.abs(beta), x_terms,
+                  (g * n).reshape(rows).sum(axis=0), g.reshape(rows).sum(axis=0)]
+        assert_fused_matches(fused, composed, scales, bitwise_forward=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lead=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           dim=st.integers(1, 5), num_centers=st.integers(1, 5), out_dim=st.integers(1, 4),
+           bandwidth=st.floats(0.3, 2.0), block_rows=st.integers(1, 4), dtype=dtypes)
+    def test_kan_matches_composition(self, seed, lead, dim, num_centers, out_dim, bandwidth,
+                                     block_rows, dtype):
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (dim,)
+        centers = np.linspace(-2.0, 2.0, num_centers)
+        arrays = [(rng.standard_normal(shape) * 1.5).astype(dtype),
+                  rng.standard_normal((dim * num_centers, out_dim)).astype(dtype)]
+        upstream = rng.standard_normal(shape[:-1] + (out_dim,)).astype(dtype)
+        # Blocks of block_rows rows, so most draws span several blocks.
+        block_bytes = block_rows * dim * num_centers * np.dtype(dtype).itemsize
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "ATTENTION_BLOCK_BYTES", block_bytes)
+            fused = run_with_grads(lambda x, w: kan(x, centers, bandwidth, w), arrays, upstream)
+            with no_grad():
+                untaped = kan(Tensor(arrays[0]), centers, bandwidth, Tensor(arrays[1]))
+        composed = run_with_grads(lambda x, w: matmul(gaussian_rbf(x, centers, bandwidth), w),
+                                  arrays, upstream)
+        # Term scales in float64: out sums F * w; gx sums g w^T F (x - c) / h^2;
+        # gw sums F g over the rows.
+        x, w = (a.astype(np.float64) for a in arrays)
+        g = np.abs(upstream.astype(np.float64))
+        feats = np.exp(-(x[..., None] - centers) ** 2 / (2 * bandwidth ** 2))
+        rows = feats.reshape(-1, dim * num_centers)
+        terms = (g @ np.abs(w).T).reshape(feats.shape) * feats
+        terms *= (np.abs(x)[..., None] + np.abs(centers)) / bandwidth ** 2
+        scales = [(rows @ np.abs(w)).reshape(upstream.shape), terms.sum(axis=-1),
+                  rows.T @ g.reshape(-1, out_dim)]
+        assert_fused_matches(fused, composed, scales, bitwise_forward=False)
+        assert np.array_equal(untaped.data, fused[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3), variates=st.integers(1, 4),
+           length=st.integers(2, 6), affine=st.booleans(), dtype=dtypes)
+    def test_revin_ops_match_composition(self, seed, batch, variates, length, affine, dtype):
+        rng = np.random.default_rng(seed)
+        eps = 1e-5
+        shape = (batch, variates, length)
+        x = (rng.standard_normal(shape) * 4 + 1).astype(dtype)
+        mean, std = revin_statistics(x, eps)
+        affine_arrays = [rng.uniform(0.5, 2.0, variates).astype(dtype),
+                         rng.uniform(-1, 1, variates).astype(dtype)] if affine else []
+        upstream = rng.standard_normal(shape).astype(dtype)
+
+        def composed_normalize(x, *affine_params):
+            normed = (x - Tensor(mean)) / Tensor(std)
+            if affine_params:
+                gamma, beta = (reshape(p, (1, variates, 1)) for p in affine_params)
+                normed = normed * gamma + beta
+            return normed
+
+        def composed_denormalize(y, *affine_params):
+            if affine_params:
+                gamma, beta = (reshape(p, (1, variates, 1)) for p in affine_params)
+                y = (y - beta) / (gamma + eps ** 2)
+            return y * Tensor(std) + Tensor(mean)
+
+        # Term scales in float64: the x and y gradients are products; the
+        # gamma and beta gradients sum products over batch and time.
+        g = np.abs(upstream.astype(np.float64))
+        gamma, beta = ((np.abs(a.astype(np.float64)).reshape(-1, 1) for a in affine_arrays)
+                       if affine else (1.0, 0.0))
+        z = np.abs(x - mean) / std
+        gz = g * z
+        u = (np.abs(x) + beta) / gamma  # y is x below
+        gy = g * std / gamma
+        norm_scales = [z * gamma + beta, g * gamma / std]
+        denorm_scales = [u * std + np.abs(mean), gy]
+        if affine:
+            norm_scales += [gz.sum(axis=(0, 2)), g.sum(axis=(0, 2))]
+            denorm_scales += [(gy * u).sum(axis=(0, 2)), gy.sum(axis=(0, 2))]
+        for fused_op, composed_op, scales in (
+                (lambda *p: revin_normalize(p[0], mean, std, *p[1:]), composed_normalize,
+                 norm_scales),
+                (lambda *p: revin_denormalize(p[0], mean, std, *p[1:], eps=eps),
+                 composed_denormalize, denorm_scales)):
+            fused = run_with_grads(fused_op, [x] + affine_arrays, upstream)
+            composed = run_with_grads(composed_op, [x] + affine_arrays, upstream)
+            assert_fused_matches(fused, composed, scales, bitwise_forward=True)
+
+    @pytest.mark.parametrize("op", ["layer_norm", "kan", "revin_normalize", "revin_denormalize"])
+    def test_non_finite_output_names_the_op(self, op):
+        x = Tensor(np.array([[[0.0] * 15 + [1.0]]]))
+        one, mean, std = Tensor(np.ones(1)), np.zeros((1, 1, 1)), np.ones((1, 1, 1))
+        with pytest.raises(NonFiniteError, match=op):
+            if op == "layer_norm":  # the variance overflows
+                layer_norm(Tensor([[1e200, -1e200]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), 1e-5)
+            elif op == "kan":  # two features near 1 times 1e308
+                kan(Tensor([[0.0]]), np.array([-1.0, 1.0]), 10.0, Tensor(np.full((2, 1), 1e308)))
+            elif op == "revin_normalize":  # a standardized value near 3.9 times 1e308
+                revin_normalize(x, *revin_statistics(x.data, 1e-5), Tensor([1e308]), one)
+            else:  # gamma + eps^2 = 0
+                revin_denormalize(x, mean, std, Tensor([-(1e-5 ** 2)]), one, eps=1e-5)
+
+    def test_untaped_kan_holds_one_block_of_features(self):
+        # The whole [64, 321, 24 * 8] features would take 31.6 MB.
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((64, 321, 24)))
+        w = Tensor(rng.standard_normal((24 * 8, 24)))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = kan(x, np.linspace(-2.0, 2.0, 8), 4.0 / 7.0, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (64, 321, 24)
+        # One block of features and the output, which is x-sized here.
+        assert peak < 2 * tensor.ATTENTION_BLOCK_BYTES + x.data.nbytes, peak
+
+
+def copying_accumulate(self, g):
+    """The copying rule, the reference for ``Tensor._accumulate``: every first gradient copied."""
+    if not self.requires_grad:
+        return
+    if self.grad is None:
+        self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+    else:
+        self.grad = self.grad + g
+
+
+def sink(t, upstream):
+    """A scalar node whose backward hands ``t`` the array ``upstream`` itself."""
+    def backward_fn(_):
+        t._accumulate(upstream)
+
+    return _make_output(np.zeros(()), (t,), backward_fn, "sink")
+
+
+_REVIN_MEAN, _REVIN_STD = np.full((2, 3, 1), 0.3), np.full((2, 3, 1), 1.7)
+_CENTERS = np.linspace(-1.0, 1.0, 3)
+
+# Every op of the tape: a builder over tensors, and the shapes of its inputs.
+OWNERSHIP_CASES = {
+    "add": (lambda a, b: a + b, [(2, 3), (3,)]),
+    "sub": (lambda a, b: a - b, [(2, 3), (3,)]),
+    "mul": (lambda a, b: a * b, [(2, 3), (3,)]),
+    "div": (lambda a, b: a / b, [(2, 3), (3,)]),
+    "neg": (lambda a: -a, [(2, 3)]),
+    "exp": (exp, [(2, 3)]),
+    "tanh": (lambda a: a.tanh(), [(2, 3)]),
+    "sqrt": (sqrt, [(2, 3)]),
+    "square": (square, [(2, 3)]),
+    "sum": (lambda a: a.sum(axis=1), [(2, 3)]),
+    "mean": (lambda a: a.mean(axis=0, keepdims=True), [(2, 3)]),
+    "reshape": (lambda a: reshape(a, (3, 2)), [(2, 3)]),
+    "transpose": (lambda a: transpose(a, (1, 0)), [(2, 3)]),
+    "matmul": (matmul, [(2, 2, 3), (3, 4)]),
+    "matmul_batched": (matmul, [(2, 2, 3), (2, 3, 4)]),
+    "softmax": (softmax, [(2, 3)]),
+    "attention": (lambda q, k, v: attention(q, k, v, 0.5),
+                  [(2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3)]),
+    "attention_dropout": (lambda q, k, v: attention(q, k, v, 0.5, np.random.default_rng(3), 0.7),
+                          [(2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3)]),
+    "gaussian_rbf": (lambda x: gaussian_rbf(x, _CENTERS, 0.7), [(2, 3)]),
+    "conv1d": (conv1d_same, [(2, 5), (3,), (1,)]),
+    "layer_norm": (lambda x, g, b: layer_norm(x, g, b, 1e-5), [(2, 3, 4), (4,), (4,)]),
+    "kan": (lambda x, w: kan(x, _CENTERS, 0.7, w), [(2, 3, 4), (12, 2)]),
+    "revin_normalize": (lambda x, g, b: revin_normalize(x, _REVIN_MEAN, _REVIN_STD, g, b),
+                        [(2, 3, 4), (3,), (3,)]),
+    "revin_normalize_plain": (lambda x: revin_normalize(x, _REVIN_MEAN, _REVIN_STD), [(2, 3, 4)]),
+    "revin_denormalize": (lambda y, g, b: revin_denormalize(y, _REVIN_MEAN, _REVIN_STD, g, b, 1e-5),
+                          [(2, 3, 4), (3,), (3,)]),
+    "revin_denormalize_plain": (lambda y: revin_denormalize(y, _REVIN_MEAN, _REVIN_STD),
+                                [(2, 3, 4)]),
+}
+
+
+class TestGradientOwnership:
+    @pytest.mark.parametrize("case", sorted(OWNERSHIP_CASES))
+    def test_read_only_upstream_gradient(self, monkeypatch, case):
+        build, shapes = OWNERSHIP_CASES[case]
+        # Blocks of one matrix or row, so the blocked ops loop.
+        monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", 64)
+        rng = np.random.default_rng(15)
+        arrays = [rng.uniform(0.5, 2.0, shape) for shape in shapes]
+
+        def leaf_grads(writeable):
+            params = [Parameter(a.copy(), f"p{i}") for i, a in enumerate(arrays)]
+            # Interior nodes between the op and the leaves hold its input
+            # gradients by reference, so a later write into one would show.
+            out = build(*(reshape(p, p.shape) for p in params))
+            upstream = np.random.default_rng(16).standard_normal(out.shape)
+            upstream.flags.writeable = writeable
+            sink(out, upstream).backward()
+            assert np.array_equal(upstream, np.random.default_rng(16).standard_normal(out.shape))
+            return [p.grad for p in params]
+
+        borrowed = leaf_grads(writeable=False)
+        monkeypatch.setattr(Tensor, "_accumulate", copying_accumulate)
+        copied = leaf_grads(writeable=True)
+        assert len(borrowed) == len(copied)
+        for got, want in zip(borrowed, copied):
+            assert np.array_equal(got, want)
+
+    def test_interior_nodes_borrow_and_leaves_own(self):
+        param = Parameter(np.ones(3), "p")
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        interior = param * 2.0
+        g = np.arange(3.0)
+        interior._accumulate(g)
+        assert interior.grad is g
+        leaf._accumulate(g)
+        assert leaf.grad is not g and leaf.grad.flags.writeable
+        param._accumulate(g)
+        assert param.grad is not g
+        interior._accumulate(g)  # a second gradient is added out of place
+        np.testing.assert_array_equal(interior.grad, 2 * g)
+        np.testing.assert_array_equal(g, np.arange(3.0))
+        # A gradient of another dtype is cast into a copy.
+        other = param * 2.0
+        other._accumulate(np.arange(3, dtype=np.float32))
+        assert other.grad.dtype == np.float64
 
 
 @st.composite

@@ -367,6 +367,18 @@ class TestPredict:
         assert model.training
         assert (model.head.weight * 1.0)._backward_fn is not None
 
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_below_one_rejected_before_any_forward(self, monkeypatch, batch_size):
+        model = tiny_model()
+        _, _, (test_x, test_y) = tiny_windows()
+        forwards = []
+        monkeypatch.setattr(model, "forward", forwards.append)
+        with pytest.raises(ConfigError, match=f"batch_size must be positive, got {batch_size}"):
+            predict(model, test_x, batch_size)
+        with pytest.raises(ConfigError, match=f"got {batch_size}"):
+            evaluate_mse(model, test_x, test_y, batch_size)
+        assert forwards == []
+
     def test_empty_window_set_rejected(self):
         with pytest.raises(DataError):
             predict(tiny_model(), np.zeros((0, 2, 8)))

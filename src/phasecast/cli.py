@@ -80,9 +80,11 @@ def _out_dir(args, config: ExperimentConfig | None = None) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "horizon", None) is not None and args.horizon < 1:
+            raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")
         if args.command == "train":
             config = _load_config(args)
-            horizons = [args.horizon] if args.horizon else None
+            horizons = [args.horizon] if args.horizon is not None else None
             report = run_train(config, _out_dir(args, config), variant=args.variant,
                                horizons=horizons)
             for run in report["runs"]:
@@ -92,7 +94,7 @@ def main(argv=None) -> int:
 
         if args.command == "eval":
             config = _load_config(args)
-            horizons = [args.horizon] if args.horizon else None
+            horizons = [args.horizon] if args.horizon is not None else None
             report = run_eval(config, _out_dir(args, config), variant=args.variant,
                               horizons=horizons)
             for run in report["runs"]:

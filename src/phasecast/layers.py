@@ -23,10 +23,8 @@ from .tensor import (
     kan,
     layer_norm,
     matmul,
-    reshape,
     softmax,
     tanh,
-    transpose,
 )
 
 _ROOT_HALF_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi), for the tanh GELU
@@ -142,11 +140,6 @@ class MultiHeadAttention(Module):
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.wo]
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        # [B, S, D] -> [B, H, S, hd]
-        b, s, _ = x.shape
-        return transpose(reshape(x, (b, s, self.num_heads, self.head_dim)), (0, 2, 1, 3))
-
     def __call__(self, q, k, v, return_weights: bool = False):
         q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
         for t in (q, k, v):
@@ -155,20 +148,18 @@ class MultiHeadAttention(Module):
         if k.shape[1] != v.shape[1] or k.shape[0] != v.shape[0] or q.shape[0] != k.shape[0]:
             raise ShapeError(f"attention batch/token mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
 
-        b, sq, _ = q.shape
-        qh = self._split_heads(matmul(q, self.wq))  # [B, H, Sq, hd]
-        kh = self._split_heads(matmul(k, self.wk))  # [B, H, Skv, hd]
-        vh = self._split_heads(matmul(v, self.wv))  # [B, H, Skv, hd]
-
+        # [B, S, D] projections; head h is columns h*hd:(h+1)*hd of each.
+        qp, kp, vp = matmul(q, self.wq), matmul(k, self.wk), matmul(v, self.wv)
         scale = 1.0 / np.sqrt(float(self.head_dim))
         rng = self._dropout_rng if self.training and self.dropout_rate > 0.0 else None
-        ctx = attention(qh, kh, vh, scale, rng, 1.0 - self.dropout_rate)  # [B, H, Sq, hd]
-        merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, sq, self.model_dim))
-        out = matmul(merged, self.wo)
+        ctx = attention(qp, kp, vp, scale, rng, 1.0 - self.dropout_rate, self.num_heads)
+        out = matmul(ctx, self.wo)
         if return_weights:
             # The fused op keeps no whole weight array; the reference softmax
-            # rebuilds the undropped weights.
-            return out, softmax(matmul(qh, transpose(kh, (0, 1, 3, 2))) * scale).data
+            # rebuilds the undropped weights off the tape.
+            qh = qp.data.reshape(*q.shape[:2], self.num_heads, -1).transpose(0, 2, 1, 3)
+            kh = kp.data.reshape(*k.shape[:2], self.num_heads, -1).transpose(0, 2, 3, 1)
+            return out, softmax(Tensor(np.matmul(qh, kh)) * scale).data
         return out
 
 

@@ -506,7 +506,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 # Bytes of exp weights in one attention block, and of features in one
-# ``kan`` block. Both ops work through their flattened leading axes in blocks
+# ``kan`` block. Both ops work through their matrices or rows in blocks
 # of about this size, so their working set stays bounded however large the
 # batch is. 1 MiB keeps a block within a core's L2 cache: attention makes
 # three passes over each block's [Sq, Skv] arrays in forward (six with
@@ -521,25 +521,32 @@ def keep_threshold(keep_prob: float) -> int:
     return round(keep_prob * 2**16)
 
 
-def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor:
-    """Fused scaled dot-product attention over the last two axes.
+def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: int = 1) -> Tensor:
+    """Fused multi-head scaled dot-product attention over the last two axes.
 
-    Computes ``softmax(q @ k^T * scale) @ v`` for q ``[..., Sq, d]`` and
-    k, v ``[..., Skv, d]`` with the same leading axes. With a generator
+    q is ``[..., Sq, heads * d]`` and k, v are ``[..., Skv, heads * d]`` with
+    the same leading axes. Head h is columns ``h*d:(h+1)*d`` of each, and the
+    output ``[..., Sq, heads * d]`` holds ``softmax(q_h @ k_h^T * scale) @ v_h``
+    in the same columns, so a projection's output goes in and the merged heads
+    come out with no split or merge in between; ``heads=1`` is attention over
+    the last two axes. The op reads the heads as ``[count, heads, S, d]`` views
+    of its inputs, where count is the product of the leading axes, and numbers
+    the ``[Sq, Skv]`` matrices by leading index, then head. With a generator
     ``rng`` the weights get dropout. ``keep_prob`` is quantized to
     ``threshold / 2**16`` with ``threshold = keep_threshold(keep_prob)``, and
-    that value is the one the op uses. Each ``[Sq, Skv]`` matrix takes
+    that value is the one the op uses. Each matrix takes
     ``words = ceil(Sq * Skv / 4)`` 64-bit words of the stream, read as 16-bit
     integers; a weight is kept where its integer is below ``threshold`` and
     then scaled by ``2**16 / threshold``. Every matrix takes the same number
-    of words, so the blocks read the stream as one
-    ``rng.bit_generator.random_raw((count, words))`` would. Without ``rng``,
-    ``keep_prob`` is ignored.
+    of words, so the blocks read the stream in matrix order as one
+    ``rng.bit_generator.random_raw((count * heads, words))`` would. Without
+    ``rng``, ``keep_prob`` is ignored.
 
-    The flattened leading axes are taken in blocks whose weights fill about
-    ``ATTENTION_BLOCK_BYTES`` (1 MiB, at least one matrix; untaped, the
-    augmented operands below take at most a quarter of it), so the passes
-    over a block's ``[Sq, Skv]`` arrays re-read the core's L2 cache. No
+    A block's weights fill about ``ATTENTION_BLOCK_BYTES`` (1 MiB, at least
+    one matrix; untaped, the augmented operands below take at most a quarter
+    of it), so the passes over a block's ``[Sq, Skv]`` arrays re-read the
+    core's L2 cache. A block is whole leading indices with all their heads
+    when one index's heads fit, and otherwise some heads of one index. No
     ``[Sq, Skv]`` array is scaled or normalized: a block keeps its exp
     weights ``E = exp(s - m)`` unnormalized, and the per-row factor
     ``coef = (1 / keep_prob) / rowsum(E)`` multiplies the ``[Sq, d]`` output
@@ -564,21 +571,22 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
     gap of about 354 in float64 and 44 in float32, so only float32 plausibly
     meets it). A matrix is redone before its block's dropout draw, so the
     stream is read the same.
-    Every matrix is computed on its own, so the block size changes no value,
-    and taped and untaped calls run the same arithmetic. Under ``no_grad``
-    each block's arrays are reused by the next; otherwise backward keeps E,
-    coef and the boolean masks, and uses ``D = rowsum(dO * O)`` for the
-    softmax term (Dao et al. 2022), so the normalized weights are never
-    built.
+    Every matrix is computed on its own, so neither the block size nor the
+    head layout changes a value, and taped and untaped calls run the same
+    arithmetic. Under ``no_grad`` each block's arrays are reused by the
+    next; otherwise backward keeps E, coef and the boolean masks, and uses
+    ``D = rowsum(dO * O)`` for the softmax term (Dao et al. 2022), so the
+    normalized weights are never built.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim < 2 or q.shape[-1] != k.shape[-1] or k.shape != v.shape:
-        raise ShapeError(f"attention needs q [..., Sq, d] and k, v [..., Skv, d]; "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
+    if q.ndim < 2 or q.shape[-1] != k.shape[-1] or k.shape != v.shape \
+            or heads < 1 or q.shape[-1] % heads:
+        raise ShapeError(f"attention with {heads} heads needs q [..., Sq, heads * d] and "
+                         f"k, v [..., Skv, heads * d]; got {q.shape}, {k.shape}, {v.shape}")
     if q.shape[:-2] != k.shape[:-2]:
         raise ShapeError(f"attention batch dimensions differ: {q.shape} vs {k.shape}")
-    lead, (sq, d), skv = q.shape[:-2], q.shape[-2:], k.shape[-2]
-    count = int(np.prod(lead))
+    sq, skv, d = q.shape[-2], k.shape[-2], q.shape[-1] // heads
+    count = int(np.prod(q.shape[:-2]))
     dtype = q.data.dtype
     if rng is None:
         keep_prob, inv_keep = 1.0, 1.0
@@ -592,15 +600,19 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
     finfo = np.finfo(dtype)
     max_shift, min_sum = finfo.max / 2, np.sqrt(finfo.tiny)
 
-    def flat(a):
-        return a.reshape((count,) + a.shape[-2:])
+    def split(a):  # [..., S, heads * d] -> [count, heads, S, d], a view when a is C-ordered
+        return a.reshape(count, a.shape[-2], heads, d).swapaxes(1, 2)
 
-    qs, ks, vs = flat(q.data), flat(k.data), flat(v.data)
-    # Overflow and 0 * inf land in a shift that the guard rejects.
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    # Overflow and 0 * inf land in a shift that the guard rejects. The shift
+    # is built negated and C-ordered and copied into the q buffers: numpy
+    # 2.4's AVX-512 `negative` miswrites a 64-byte-strided input into a
+    # strided `out`, which shifted rows by other rows' bounds.
     with np.errstate(over="ignore", invalid="ignore"):
         k_norm = np.sqrt(np.einsum("...i,...i->...", ks, ks).max(axis=-1, keepdims=True))
-        shift = np.sqrt(np.einsum("...i,...i->...", qs, qs)) * (k_norm * abs(scale))
-    unsafe = ~(shift < max_shift).all(axis=-1)
+        neg_shift = np.multiply(np.sqrt(np.einsum("...i,...i->...", qs, qs)),
+                                -(k_norm * abs(scale)), order="C")
+    unsafe = ~(neg_shift > -max_shift).all(axis=-1)
     taped = _GRAD_MODE.enabled and any(t.requires_grad for t in (q, k, v))
     # E fills the block. Untaped, at small N the thin augmented operands
     # below would outweigh it, so they take at most a quarter of the block;
@@ -609,95 +621,101 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0) -> Tensor
     if not taped:
         aug_bytes = (2 if rng is None else 1) * (sq + skv) * (d + 1) * dtype.itemsize
         matrix_bytes = max(matrix_bytes, 4 * aug_bytes)
-    rows = max(1, ATTENTION_BLOCK_BYTES // max(1, matrix_bytes))
-    starts = range(0, count, rows)
-    shape = (min(rows, count), sq, skv)
+    per_block = max(1, ATTENTION_BLOCK_BYTES // max(1, matrix_bytes))
+    # Whole leading indices with all their heads, or some heads of one index.
+    rows, cols = max(1, min(count, per_block // heads)), min(heads, per_block)
+    blocks = [(slice(i, i + rows), slice(h, h + cols))
+              for i in range(0, count, rows) for h in range(0, heads, cols)]
+    shape = (rows, cols, sq, skv)
     # The score GEMM writes a reused, cache-warm buffer: into fresh memory it
     # runs about twice as slow at N = 321. Untaped, exp runs there in place.
     scores = np.empty(shape, dtype)
     # [q * scale, -m] and [k, 1]^T; without dropout also [v, 1] and
     # [E @ v, rowsum(E)]. The ones are written once. k is stored transposed
     # because a GEMM against a transposed view is up to 3x slower at small N.
-    qa, kt = np.empty(shape[:2] + (d + 1,), dtype), np.ones((shape[0], d + 1, skv), dtype)
+    qa, kt = np.empty(shape[:3] + (d + 1,), dtype), np.ones(shape[:2] + (d + 1, skv), dtype)
     if rng is None:
-        va, oa = np.ones((shape[0], skv, d + 1), dtype), np.empty_like(qa)
+        va, oa = np.ones(shape[:2] + (skv, d + 1), dtype), np.empty_like(qa)
     else:
         dropped = scores if taped else np.empty(shape, dtype)  # E * mask
         reused_mask = None if taped else np.empty(shape, bool)
 
-    out = np.empty((count, sq, d), dtype)
+    out = np.empty(q.shape, dtype)
+    outs = split(out)
     exps, coefs, masks = [], [], []  # kept per block for backward
     # Only matrices the guard sends down the exact path can overflow here.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in starts:
-            block, n = slice(lo, lo + rows), min(rows, count - lo)
-            qa_b, kt_b = qa[:n], kt[:n]
+        for block in blocks:
+            nb, nh = unsafe[block].shape
+            qa_b, kt_b = qa[:nb, :nh], kt[:nb, :nh]
             np.multiply(qs[block], scale, out=qa_b[..., :d])
-            np.negative(shift[block], out=qa_b[..., d])
-            kt_b[:, :d] = np.swapaxes(ks[block], -1, -2)
-            np.matmul(qa_b, kt_b, out=scores[:n])
-            e = np.exp(scores[:n], out=None if taped else scores[:n])
+            qa_b[..., d] = neg_shift[block]
+            kt_b[..., :d, :] = np.swapaxes(ks[block], -1, -2)
+            np.matmul(qa_b, kt_b, out=scores[:nb, :nh])
+            e = np.exp(scores[:nb, :nh], out=None if taped else scores[:nb, :nh])
             if rng is None:
-                va_b, oa_b = va[:n], oa[:n]
+                va_b, oa_b = va[:nb, :nh], oa[:nb, :nh]
                 va_b[..., :d] = vs[block]
                 sums = np.matmul(e, va_b, out=oa_b)[..., d:]
             else:
                 sums = e.sum(axis=-1, keepdims=True)
             # The guard: redo these matrices on the exact path, shifted by
             # their row maxima after a scan of the scores.
-            for i in np.flatnonzero(unsafe[block] | (sums < min_sum).any(axis=(1, 2))):
-                e_i = np.matmul(qa_b[i, :, :d], kt_b[i, :d], out=e[i])
+            for i, j in np.argwhere(unsafe[block] | (sums < min_sum).any(axis=(-2, -1))):
+                e_i = np.matmul(qa_b[i, j, :, :d], kt_b[i, j, :d], out=e[i, j])
                 _ensure_finite(e_i, "attention")
                 e_i -= e_i.max(axis=-1, keepdims=True)
                 np.exp(e_i, out=e_i)
                 if rng is None:
-                    np.matmul(e_i, va_b[i], out=oa_b[i])
+                    np.matmul(e_i, va_b[i, j], out=oa_b[i, j])
                 else:
-                    sums[i] = e_i.sum(axis=-1, keepdims=True)
+                    sums[i, j] = e_i.sum(axis=-1, keepdims=True)
             coef = inv_keep / sums
             mask = None
+            out_b = outs[block]
             if rng is None:
-                np.multiply(oa_b[..., :d], coef, out=out[block])
+                np.multiply(oa_b[..., :d], coef, out=out_b)
             else:
-                draws = rng.bit_generator.random_raw((n, words)).view(np.uint16)
-                draws = draws[:, :sq * skv].reshape(n, sq, skv)
+                draws = rng.bit_generator.random_raw((nb * nh, words)).view(np.uint16)
+                draws = draws[:, :sq * skv].reshape(nb, nh, sq, skv)
                 # `<= threshold - 1`: a threshold of 2**16 does not fit in uint16.
                 mask = np.less_equal(draws, threshold - 1,
-                                     out=None if taped else reused_mask[:n])
+                                     out=None if taped else reused_mask[:nb, :nh])
                 # v, not [v, 1]: at head size 12 an unused sum column would
                 # cost a quarter of this GEMM.
-                np.matmul(np.multiply(e, mask, out=dropped[:n]), vs[block], out=out[block])
-                out[block] *= coef
+                np.matmul(np.multiply(e, mask, out=dropped[:nb, :nh]), vs[block], out=out_b)
+                out_b *= coef
             if taped:
                 exps.append(e)
                 coefs.append(coef)
                 masks.append(mask)
 
     def backward_fn(g):
-        gs = flat(g)
-        gq, gk, gv = np.empty_like(qs), np.empty_like(ks), np.empty_like(vs)
+        gs = split(g)
+        gq, gk, gv = (np.empty(t.shape, t.data.dtype) for t in (q, k, v))
+        gqs, gks, gvs = split(gq), split(gk), split(gv)
         buf = np.empty(shape, dtype)  # E * mask, then the score gradient
-        for lo, e, coef, mask in zip(starts, exps, coefs, masks):
-            block, n = slice(lo, lo + rows), len(e)
+        for block, e, coef, mask in zip(blocks, exps, coefs, masks):
+            nb, nh = e.shape[:2]
             g_b = gs[block]
-            e_kept = e if mask is None else np.multiply(e, mask, out=buf[:n])
-            np.matmul(np.swapaxes(e_kept, -1, -2), g_b * coef, out=gv[block])
-            x = np.matmul(g_b, np.swapaxes(vs[block], -1, -2), out=buf[:n])
+            e_kept = e if mask is None else np.multiply(e, mask, out=buf[:nb, :nh])
+            np.matmul(np.swapaxes(e_kept, -1, -2), g_b * coef, out=gvs[block])
+            x = np.matmul(g_b, np.swapaxes(vs[block], -1, -2), out=buf[:nb, :nh])
             if mask is not None:
                 x *= mask
-            dsum = (g_b * out[block]).sum(axis=-1, keepdims=True)
+            dsum = (g_b * outs[block]).sum(axis=-1, keepdims=True)
             dsum *= keep_prob
             x -= dsum
             x *= e
             coef_scale = coef * scale
-            np.matmul(x, ks[block], out=gq[block])
-            gq[block] *= coef_scale
-            np.matmul(np.swapaxes(x, -1, -2), qs[block] * coef_scale, out=gk[block])
-        q._accumulate(gq.reshape(q.shape))
-        k._accumulate(gk.reshape(k.shape))
-        v._accumulate(gv.reshape(v.shape))
+            gq_b = np.matmul(x, ks[block], out=gqs[block])
+            gq_b *= coef_scale
+            np.matmul(np.swapaxes(x, -1, -2), qs[block] * coef_scale, out=gks[block])
+        q._accumulate(gq)
+        k._accumulate(gk)
+        v._accumulate(gv)
 
-    return _make_output(out.reshape(q.shape), (q, k, v), backward_fn, "attention")
+    return _make_output(out, (q, k, v), backward_fn, "attention")
 
 
 def _expand(x: np.ndarray, centers: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:

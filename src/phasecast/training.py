@@ -74,18 +74,15 @@ class Adam:
     def step(self) -> None:
         # Every gradient is scanned before any update, so a non-finite one
         # leaves the parameters, the moments and t as they were.
-        grads = []
-        for p in self.params:
-            if not p.trainable:
-                continue
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
+        trainable = [p for p in self.params if p.trainable]
+        for p in trainable:
+            if not np.all(np.isfinite(p.grad)):
                 raise NonFiniteError(f"non-finite gradient for {p.name}")
-            grads.append((p, g))
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, g in grads:
+        for p in trainable:
+            g = p.grad
             m = self.m[id(p)]
             v = self.v[id(p)]
             m *= self.beta1
@@ -100,14 +97,12 @@ def clip_gradients(params, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``."""
     total = 0.0
     for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+        total += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
+            p.grad = p.grad * scale
     return norm
 
 
@@ -295,8 +290,7 @@ def grad_check(loss_fn, params, step: float = 1e-5, tolerance: float = 1e-4,
         p.zero_grad()
     loss = loss_fn()
     loss.backward()
-    analytic = {p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for p in params}
+    analytic = {p.name: p.grad.copy() for p in params}
 
     worst = 0.0
     worst_name = ""

@@ -213,6 +213,20 @@ class TestErrorExits:
         assert main(["train", "--config", str(config_path),
                      "--out", str(tmp_path / "o"), "--variant", "bogus"]) == 2
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_horizon_below_one_rejected_before_any_work(self, tmp_path, tiny_config,
+                                                        monkeypatch, command, horizon):
+        # 0 once ran every configured horizon (train, eval) or the first (ablate).
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(experiment, "prepare_windows", fail)
+        config_path, _ = tiny_config
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--horizon", horizon]) == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("inf")),
         ("clip_norm", float("nan")), ("lr_decay", 0.0), ("lr_decay", -0.5),

@@ -10,6 +10,7 @@ from phasecast.layers import (
     MultiHeadAttention,
     gelu,
 )
+from phasecast.model import Forecaster, ModelConfig
 from phasecast.tensor import ShapeError, Tensor
 from phasecast.training import grad_check, mse_loss
 from reference_pipeline import naive_multihead_attention
@@ -169,6 +170,22 @@ class TestAttention:
         out_perm = mha(Tensor(x[perm]), Tensor(x[perm]), Tensor(x[perm])).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_each_row_keeps_its_own_softmax_shift(self, batch):
+        # Row 300 of head 0 scores 3600 / sqrt(3) against key 5 and 0 against
+        # the rest; only its own shift keeps exp finite. Each batch element
+        # holds the same inputs.
+        rng = rng_for(12)
+        mha = MultiHeadAttention(24, 8, rng, dropout=0.0)
+        for w in mha.parameters():
+            w.data[:] = np.eye(24)
+        q, k = np.zeros((batch, 321, 24)), np.zeros((batch, 321, 24))
+        q[:, 300, 0] = k[:, 5, 0] = 60.0
+        v = np.repeat(rng.standard_normal((1, 321, 24)), batch, axis=0)
+        out = mha(Tensor(q), Tensor(k), Tensor(v)).data
+        expected = naive_multihead_attention(q, k, v, *(w.data for w in mha.parameters()), 8)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_dropout_only_in_training_mode(self):
         rng = rng_for(9)
         mha = MultiHeadAttention(4, 2, rng, dropout=0.5)
@@ -179,6 +196,36 @@ class TestAttention:
         a = mha(x, x, x).data
         b = mha(x, x, x).data
         assert np.max(np.abs(a - b)) > 0
+
+
+def tape_nodes(root) -> int:
+    """The number of recorded ops in the graph reachable from ``root``."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        count += node._backward_fn is not None
+    return count
+
+
+class TestTapeNodes:
+    def test_attention_call_records_projections_op_and_output(self):
+        # Three projection matmuls, the attention op and the output matmul.
+        rng = rng_for(13)
+        mha = MultiHeadAttention(24, 8, rng).train()
+        q = Tensor(rng.standard_normal((2, 5, 24)), requires_grad=True)
+        kv = Tensor(rng.standard_normal((2, 6, 24)), requires_grad=True)
+        assert tape_nodes(mha(q, kv, kv)) == 5
+
+    def test_train_etth_step(self):
+        # The default full model at N = 7, B = 32, as one training step records it.
+        model = Forecaster(ModelConfig(num_variates=7)).train()
+        rng = rng_for(14)
+        x, y = rng.standard_normal((32, 7, 96)), rng.standard_normal((32, 7, 96))
+        assert tape_nodes(mse_loss(model.forward(x), Tensor(y))) == 27
 
 
 class TestSwapBlocks:

@@ -1,3 +1,4 @@
+import contextlib
 import operator
 import tracemalloc
 import warnings
@@ -397,6 +398,40 @@ class TestFusedAttention:
             results.append([out.data] + grads)
         for views, copies in zip(*results):
             assert np.array_equal(views, copies)
+
+    @pytest.mark.parametrize("taped", [True, False])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("block_bytes", [4 * 24000 - 1, 4 * 24000, 2**20])
+    def test_heads_match_contiguous_head_split_copies(self, monkeypatch, block_bytes, batch,
+                                                      masked, taped):
+        # Four heads of size 2 in [B, S, 8]: a q row is 64 bytes. One
+        # [50, 60] matrix takes 24000 bytes, more than its augmented operands,
+        # so the budgets give blocks of three heads of one index, of one
+        # whole index, and of every index.
+        monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(15)
+        heads, d = 4, 2
+        arrays = [rng.standard_normal((batch, s, heads * d)) for s in (50, 60, 60)]
+        upstream = rng.standard_normal((batch, 50, heads * d))
+
+        def split(a):  # [B, S, H * d] -> contiguous [B, H, S, d]
+            return np.ascontiguousarray(a.reshape(batch, -1, heads, d).transpose(0, 2, 1, 3))
+
+        def same(a):
+            return a
+
+        results = []
+        for op_heads, to_input, to_split in ((heads, same, split), (1, split, same)):
+            params = [Parameter(to_input(a), "p") for a in arrays]
+            with contextlib.nullcontext() if taped else no_grad():
+                out = attention(*params, 0.5, dropout_rng(15, masked), 0.8 if masked else 1.0,
+                                op_heads)
+            if taped:
+                (out * Tensor(to_input(upstream))).sum().backward()
+            results.append([to_split(out.data)] + [to_split(p.grad) for p in params if taped])
+        for merged, split_copies in zip(*results):
+            assert np.array_equal(merged, split_copies)
 
     def test_float32_with_dropout_tracks_float64(self):
         q, k, v, upstream = attention_inputs(4, 2, 3, 6, 5, 4)

@@ -314,6 +314,8 @@ def run_ablate(config: ExperimentConfig, out_dir, horizon: int | None = None,
 
 def run_gradcheck(out_dir=None, seed: int = 2024, tolerance: float = 1e-4) -> dict:
     """Finite-difference check of a small model of every variant; returns a summary."""
+    if not 0 < tolerance < float("inf"):
+        raise ConfigError(f"tolerance must be positive and finite, got {tolerance}")
     rng = np.random.default_rng(seed)
     results = {}
     for tag in VARIANTS:
@@ -343,6 +345,8 @@ def run_synth(out_dir, seed: int = 2024, length: int = 2000) -> dict:
     """Write the deterministic synthetic datasets used by the verification suite."""
     from .synthetic import linear_trend, sine_mixture, write_series_csv
 
+    if length < 1:
+        raise ConfigError(f"length must be at least 1, got {length}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sine_path = out / "sine_mixture.csv"

@@ -153,14 +153,16 @@ class MultiHeadAttention(Module):
         scale = 1.0 / np.sqrt(float(self.head_dim))
         rng = self._dropout_rng if self.training and self.dropout_rate > 0.0 else None
         ctx = attention(qp, kp, vp, scale, rng, 1.0 - self.dropout_rate, self.num_heads)
-        out = matmul(ctx, self.wo)
-        if return_weights:
-            # The fused op keeps no whole weight array; the reference softmax
-            # rebuilds the undropped weights off the tape.
-            qh = qp.data.reshape(*q.shape[:2], self.num_heads, -1).transpose(0, 2, 1, 3)
-            kh = kp.data.reshape(*k.shape[:2], self.num_heads, -1).transpose(0, 2, 3, 1)
-            return out, softmax(Tensor(np.matmul(qh, kh)) * scale).data
-        return out
+        if not return_weights:
+            # Untaped, nothing else holds the projections: free them before
+            # the wo GEMM allocates its output.
+            del qp, kp, vp
+            return matmul(ctx, self.wo)
+        # The fused op keeps no whole weight array; the reference softmax
+        # rebuilds the undropped weights off the tape.
+        qh = qp.data.reshape(*q.shape[:2], self.num_heads, -1).transpose(0, 2, 1, 3)
+        kh = kp.data.reshape(*k.shape[:2], self.num_heads, -1).transpose(0, 2, 3, 1)
+        return matmul(ctx, self.wo), softmax(Tensor(np.matmul(qh, kh)) * scale).data
 
 
 class GaussianKanLayer(Module):

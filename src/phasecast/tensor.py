@@ -547,7 +547,7 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     of it), so the passes over a block's ``[Sq, Skv]`` arrays re-read the
     core's L2 cache. A block is whole leading indices with all their heads
     when one index's heads fit, and otherwise some heads of one index. No
-    ``[Sq, Skv]`` array is scaled or normalized: a block keeps its exp
+    ``[Sq, Skv]`` array is scaled or normalized: a block leaves its exp
     weights ``E = exp(s - m)`` unnormalized, and the per-row factor
     ``coef = (1 / keep_prob) / rowsum(E)`` multiplies the ``[Sq, d]`` output
     instead (Rabe & Staats 2021), so any per-row shift ``m`` at or above the
@@ -573,8 +573,10 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     stream is read the same.
     Every matrix is computed on its own, so neither the block size nor the
     head layout changes a value, and taped and untaped calls run the same
-    arithmetic. Under ``no_grad`` each block's arrays are reused by the
-    next; otherwise backward keeps E, coef and the boolean masks, and uses
+    arithmetic, E in place in one reused buffer. A taped call keeps no
+    ``[Sq, Skv]`` float array: per block it keeps coef, the boolean mask and
+    the matrices the guard redid, and backward rebuilds each block's E with
+    the same GEMM and ``exp``, bit for bit, without touching ``rng``. It uses
     ``D = rowsum(dO * O)`` for the softmax term (Dao et al. 2022), so the
     normalized weights are never built.
     """
@@ -616,7 +618,8 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     taped = _GRAD_MODE.enabled and any(t.requires_grad for t in (q, k, v))
     # E fills the block. Untaped, at small N the thin augmented operands
     # below would outweigh it, so they take at most a quarter of the block;
-    # taped, the E kept from every block outweighs them anyway.
+    # taped, the masks and per-row factors kept from every block, the output
+    # and the gradients that backward makes outweigh them anyway.
     matrix_bytes = sq * skv * dtype.itemsize
     if not taped:
         aug_bytes = (2 if rng is None else 1) * (sq + skv) * (d + 1) * dtype.itemsize
@@ -627,32 +630,52 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     blocks = [(slice(i, i + rows), slice(h, h + cols))
               for i in range(0, count, rows) for h in range(0, heads, cols)]
     shape = (rows, cols, sq, skv)
-    # The score GEMM writes a reused, cache-warm buffer: into fresh memory it
-    # runs about twice as slow at N = 321. Untaped, exp runs there in place.
-    scores = np.empty(shape, dtype)
-    # [q * scale, -m] and [k, 1]^T; without dropout also [v, 1] and
-    # [E @ v, rowsum(E)]. The ones are written once. k is stored transposed
-    # because a GEMM against a transposed view is up to 3x slower at small N.
-    qa, kt = np.empty(shape[:3] + (d + 1,), dtype), np.ones(shape[:2] + (d + 1, skv), dtype)
+
+    # Forward and backward build a block's E with these three, so the
+    # rebuilt E has the forward's bits. Each pass makes its own buffers, so
+    # a taped call keeps none of them.
+    def exp_buffers():
+        """Block buffers for ``scores``, ``[q * scale, -m]`` and ``[k, 1]^T``."""
+        # The score GEMM writes a reused, cache-warm buffer, and exp runs
+        # there in place: into fresh memory the GEMM runs about twice as slow
+        # at N = 321. The ones are written once. k is stored transposed
+        # because a GEMM against a transposed view is up to 3x slower at small N.
+        return (np.empty(shape, dtype), np.empty(shape[:3] + (d + 1,), dtype),
+                np.ones(shape[:2] + (d + 1, skv), dtype))
+
+    def block_exp(block, scores, qa, kt):
+        """The block's ``E = exp(s - m)``, in place in ``scores``."""
+        nb, nh = unsafe[block].shape
+        qa_b, kt_b, e = qa[:nb, :nh], kt[:nb, :nh], scores[:nb, :nh]
+        np.multiply(qs[block], scale, out=qa_b[..., :d])
+        qa_b[..., d] = neg_shift[block]
+        kt_b[..., :d, :] = np.swapaxes(ks[block], -1, -2)
+        return np.exp(np.matmul(qa_b, kt_b, out=e), out=e)
+
+    def exact_exp(e, pairs, qa, kt):
+        """Redo the ``(index, head)`` matrices of ``block_exp``'s E on the exact path."""
+        for i, j in pairs:
+            e_i = np.matmul(qa[i, j, :, :d], kt[i, j, :d], out=e[i, j])
+            _ensure_finite(e_i, "attention")
+            e_i -= e_i.max(axis=-1, keepdims=True)
+            np.exp(e_i, out=e_i)
+
+    scores, qa, kt = exp_buffers()
+    # Without dropout also [v, 1] and [E @ v, rowsum(E)].
     if rng is None:
         va, oa = np.ones(shape[:2] + (skv, d + 1), dtype), np.empty_like(qa)
     else:
-        dropped = scores if taped else np.empty(shape, dtype)  # E * mask
+        dropped = np.empty(shape, dtype)  # E * mask
         reused_mask = None if taped else np.empty(shape, bool)
 
     out = np.empty(q.shape, dtype)
     outs = split(out)
-    exps, coefs, masks = [], [], []  # kept per block for backward
+    kept = []  # (coef, mask, exact-path pairs) per block, for backward
     # Only matrices the guard sends down the exact path can overflow here.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in blocks:
-            nb, nh = unsafe[block].shape
-            qa_b, kt_b = qa[:nb, :nh], kt[:nb, :nh]
-            np.multiply(qs[block], scale, out=qa_b[..., :d])
-            qa_b[..., d] = neg_shift[block]
-            kt_b[..., :d, :] = np.swapaxes(ks[block], -1, -2)
-            np.matmul(qa_b, kt_b, out=scores[:nb, :nh])
-            e = np.exp(scores[:nb, :nh], out=None if taped else scores[:nb, :nh])
+            e = block_exp(block, scores, qa, kt)
+            nb, nh = e.shape[:2]
             if rng is None:
                 va_b, oa_b = va[:nb, :nh], oa[:nb, :nh]
                 va_b[..., :d] = vs[block]
@@ -661,15 +684,13 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
                 sums = e.sum(axis=-1, keepdims=True)
             # The guard: redo these matrices on the exact path, shifted by
             # their row maxima after a scan of the scores.
-            for i, j in np.argwhere(unsafe[block] | (sums < min_sum).any(axis=(-2, -1))):
-                e_i = np.matmul(qa_b[i, j, :, :d], kt_b[i, j, :d], out=e[i, j])
-                _ensure_finite(e_i, "attention")
-                e_i -= e_i.max(axis=-1, keepdims=True)
-                np.exp(e_i, out=e_i)
+            pairs = np.argwhere(unsafe[block] | (sums < min_sum).any(axis=(-2, -1)))
+            exact_exp(e, pairs, qa, kt)
+            for i, j in pairs:
                 if rng is None:
-                    np.matmul(e_i, va_b[i, j], out=oa_b[i, j])
+                    np.matmul(e[i, j], va_b[i, j], out=oa_b[i, j])
                 else:
-                    sums[i, j] = e_i.sum(axis=-1, keepdims=True)
+                    sums[i, j] = e[i, j].sum(axis=-1, keepdims=True)
             coef = inv_keep / sums
             mask = None
             out_b = outs[block]
@@ -686,21 +707,26 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
                 np.matmul(np.multiply(e, mask, out=dropped[:nb, :nh]), vs[block], out=out_b)
                 out_b *= coef
             if taped:
-                exps.append(e)
-                coefs.append(coef)
-                masks.append(mask)
+                kept.append((coef, mask, pairs))
 
     def backward_fn(g):
         gs = split(g)
         gq, gk, gv = (np.empty(t.shape, t.data.dtype) for t in (q, k, v))
         gqs, gks, gvs = split(gq), split(gk), split(gv)
+        scores, qa, kt = exp_buffers()
         buf = np.empty(shape, dtype)  # E * mask, then the score gradient
-        for block, e, coef, mask in zip(blocks, exps, coefs, masks):
+        # v^T per block: a GEMM against a transposed view is slower.
+        vt = np.empty(shape[:2] + (d, skv), dtype)
+        for block, (coef, mask, pairs) in zip(blocks, kept):
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = block_exp(block, scores, qa, kt)
+                exact_exp(e, pairs, qa, kt)
             nb, nh = e.shape[:2]
             g_b = gs[block]
             e_kept = e if mask is None else np.multiply(e, mask, out=buf[:nb, :nh])
             np.matmul(np.swapaxes(e_kept, -1, -2), g_b * coef, out=gvs[block])
-            x = np.matmul(g_b, np.swapaxes(vs[block], -1, -2), out=buf[:nb, :nh])
+            vt[:nb, :nh] = np.swapaxes(vs[block], -1, -2)
+            x = np.matmul(g_b, vt[:nb, :nh], out=buf[:nb, :nh])
             if mask is not None:
                 x *= mask
             dsum = (g_b * outs[block]).sum(axis=-1, keepdims=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import phasecast
-from phasecast import data, experiment
+from phasecast import data, experiment, synthetic
 from phasecast.cli import main
 from phasecast.errors import ConfigError
 from phasecast.model import VARIANTS, Forecaster, ModelConfig
@@ -225,6 +225,29 @@ class TestErrorExits:
         config_path, _ = tiny_config
         assert main([command, "--config", str(config_path), "--out", str(tmp_path / "o"),
                      "--horizon", horizon]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_synth_length_below_one_rejected_before_any_work(self, tmp_path, monkeypatch,
+                                                             length):
+        # -5 once died in numpy with a traceback; 0 wrote header-only CSVs.
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(synthetic, "write_series_csv", fail)
+        assert main(["synth", "--out", str(tmp_path / "o"), "--length", length]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    def test_gradcheck_tolerance_not_positive_and_finite_rejected(self, tmp_path, monkeypatch,
+                                                                  tolerance):
+        # These once ran every check and reported each one FAIL, exit 5.
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(experiment, "grad_check_model", fail)
+        assert main(["gradcheck", "--out", str(tmp_path / "o"),
+                     "--tolerance", tolerance]) == 2
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [

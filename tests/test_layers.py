@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from phasecast.layers import (
     gelu,
 )
 from phasecast.model import Forecaster, ModelConfig
-from phasecast.tensor import ShapeError, Tensor
+from phasecast.tensor import ShapeError, Tensor, no_grad
 from phasecast.training import grad_check, mse_loss
 from reference_pipeline import naive_multihead_attention
 
@@ -196,6 +198,22 @@ class TestAttention:
         a = mha(x, x, x).data
         b = mha(x, x, x).data
         assert np.max(np.abs(a - b)) > 0
+
+    def test_untaped_call_frees_projections_before_output(self):
+        # The q, k and v projections, the context and the output are each
+        # one [B, S, D] array; the projections are gone before the output
+        # is made, so at most four are live at once.
+        rng = rng_for(10)
+        mha = MultiHeadAttention(96, 8, rng).eval()
+        x = Tensor(rng.standard_normal((128, 50, 96)))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = mha(x, x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * out.data.nbytes, peak
 
 
 def tape_nodes(root) -> int:

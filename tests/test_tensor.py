@@ -356,6 +356,33 @@ class TestFusedAttention:
         assert out.shape == (16, 8, 321, 3)
         assert peak < 3 * tensor.ATTENTION_BLOCK_BYTES + 2 * q.data.nbytes, peak
 
+    def test_taped_call_keeps_masks_not_exp_weights(self):
+        # The exp weights of these 32 matrices would take ~26 MB; backward
+        # rebuilds them, so a taped call keeps the one-byte masks, the output
+        # and per-row vectors.
+        rng = np.random.default_rng(16)
+        q, k, v = (Parameter(rng.standard_normal((4, 8, 321, 3)), n) for n in "qkv")
+        tracemalloc.start()
+        try:
+            out = attention(q, k, v, 0.5, np.random.default_rng(17), 0.9)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        masks = 4 * 8 * 321 * 321
+        assert retained < masks + 2 * tensor.ATTENTION_BLOCK_BYTES + 2 * q.data.nbytes, retained
+        out.sum().backward()
+        assert all(np.all(np.isfinite(p.grad)) for p in (q, k, v))
+
+    def test_backward_leaves_dropout_stream_alone(self):
+        # Backward rebuilds the weights beside the kept masks and draws nothing.
+        q, k, v, upstream = attention_inputs(18, 2, 3, 7, 6, 4)
+        params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
+        drop_rng = np.random.default_rng(18)
+        out = attention(*params, 0.5, drop_rng, 0.8)
+        before = drop_rng.bit_generator.state
+        (out * Tensor(upstream)).sum().backward()
+        assert drop_rng.bit_generator.state == before
+
     @pytest.mark.parametrize("score", ["-inf", "+inf", "nan"])
     def test_non_finite_score_names_attention(self, score):
         # Finite inputs whose one score overflows: to -inf (the softmax and the

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +28,18 @@ OFFSET_SEMANTICS = (
     "interleaved phases: sub-sequence u holds positions u, u+O, u+2O, ... of the lookback"
 )
 
-_DATASET_KEYS = {"path", "split_ratio", "columns", "forward_fill", "sort_on_disorder"}
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+# A config file sets every dataclass field except those the run fills in
+# itself: lookback, horizon and seed from the top level, N from the data.
+_DATASET_KEYS = _field_names(DatasetSpec) - {"lookback", "horizon"}
 # per_offset_kan is retired; ModelConfig.from_dict accepts only its old default.
-_MODEL_KEYS = {
-    "offsets", "num_heads", "rbf_grid", "rbf_span", "kan_prenorm", "per_offset_kan",
-    "mlp_hidden", "conv_kernel", "dropout", "depth", "variant", "revin_affine", "precision",
-}
-_TRAIN_KEYS = {"max_epochs", "patience", "batch_size", "learning_rate", "clip_norm", "lr_decay"}
+_MODEL_KEYS = (_field_names(ModelConfig) - {"num_variates", "lookback", "horizon", "seed"}) \
+    | {"per_offset_kan"}
+_TRAIN_KEYS = _field_names(TrainSchedule) - {"seed"}
 _TOP_KEYS = {
     "dataset", "model", "train", "lookback", "horizons", "seed",
     "metrics_scale", "output_dir", "report_format",
@@ -316,6 +321,8 @@ def run_gradcheck(out_dir=None, seed: int = 2024, tolerance: float = 1e-4) -> di
     """Finite-difference check of a small model of every variant; returns a summary."""
     if not 0 < tolerance < float("inf"):
         raise ConfigError(f"tolerance must be positive and finite, got {tolerance}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     results = {}
     for tag in VARIANTS:
@@ -347,6 +354,8 @@ def run_synth(out_dir, seed: int = 2024, length: int = 2000) -> dict:
 
     if length < 1:
         raise ConfigError(f"length must be at least 1, got {length}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sine_path = out / "sine_mixture.csv"

@@ -6,6 +6,12 @@ leading axes, so the same layer code serves [B, N, D] activations and
 plain [B, D] matrices. Weight matrices are initialized uniformly in
 plus/minus 1/sqrt(fan_in) from a caller-supplied seeded generator; biases
 start at zero.
+
+A layer subclasses ``Module``, defines ``forward`` and assigns its
+Parameters and submodules (or lists of them) as attributes; calling the
+layer runs ``forward``. Assignment order is the parameter order: it fixes
+the ``params`` order of a checkpoint file, the Adam parameter list and the
+gradient check's walk.
 """
 
 from __future__ import annotations
@@ -36,57 +42,52 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Module:
-    """Minimal layer base: parameter listing plus a training-mode flag.
-
-    A module lists its submodules in ``modules()``; the base ``parameters()``,
-    ``train()`` and ``eval()`` walk them in that order. Leaf layers override
-    ``parameters()`` instead.
-    """
+    """Layer base: ``__call__`` runs ``forward``; one attribute walk finds
+    every Parameter and submodule, in assignment order."""
 
     training = False
 
-    def modules(self) -> list["Module"]:
-        return []
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
+
+    def _children(self):
+        """Parameters and Modules held in attributes, directly or in lists."""
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, (Parameter, Module)):
+                    yield item
 
     def parameters(self) -> list[Parameter]:
-        return [p for mod in self.modules() for p in mod.parameters()]
+        return [p for item in self._children()
+                for p in (item.parameters() if isinstance(item, Module) else (item,))]
 
     def train(self):
-        for mod in self.modules():
-            mod.train()
-        self.training = True
-        return self
+        return self._set_training(True)
 
     def eval(self):
-        for mod in self.modules():
-            mod.eval()
-        self.training = False
-        return self
+        return self._set_training(False)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
+    def _set_training(self, training: bool):
+        for item in self._children():
+            if isinstance(item, Module):
+                item._set_training(training)
+        self.training = training
+        return self
 
 
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 bias: bool = True, name: str = "linear"):
+                 name: str = "linear"):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = Parameter(uniform_init(rng, (in_dim, out_dim), in_dim), f"{name}.weight")
-        self.bias = Parameter(np.zeros(out_dim), f"{name}.bias") if bias else None
+        self.bias = Parameter(np.zeros(out_dim), f"{name}.bias")
 
-    def parameters(self):
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
-
-    def __call__(self, x) -> Tensor:
+    def forward(self, x) -> Tensor:
         x = as_tensor(x)
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"linear expects last dim {self.in_dim}, got {x.shape}")
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return matmul(x, self.weight) + self.bias
 
 
 class LayerNorm(Module):
@@ -98,10 +99,7 @@ class LayerNorm(Module):
         self.gamma = Parameter(np.ones(dim), f"{name}.gamma")
         self.beta = Parameter(np.zeros(dim), f"{name}.beta")
 
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def __call__(self, x) -> Tensor:
+    def forward(self, x) -> Tensor:
         x = as_tensor(x)
         if x.shape[-1] != self.dim:
             raise ShapeError(f"layer norm expects last dim {self.dim}, got {x.shape}")
@@ -137,10 +135,7 @@ class MultiHeadAttention(Module):
         self.wo = Parameter(uniform_init(rng, (model_dim, model_dim), model_dim), f"{name}.wo")
         self._dropout_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
 
-    def parameters(self):
-        return [self.wq, self.wk, self.wv, self.wo]
-
-    def __call__(self, q, k, v, return_weights: bool = False):
+    def forward(self, q, k, v, return_weights: bool = False):
         q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
         for t in (q, k, v):
             if t.ndim != 3 or t.shape[-1] != self.model_dim:
@@ -188,17 +183,11 @@ class GaussianKanLayer(Module):
         centers = np.linspace(lo, hi, num_centers) if num_centers > 1 else np.array([0.5 * (lo + hi)])
         self.centers = centers  # fixed, non-trainable
         self.bandwidth = (hi - lo) / (num_centers - 1) if num_centers > 1 else 1.0
+        self.prenorm = LayerNorm(in_dim, name=f"{name}.norm") if prenorm else None
         self.weights = Parameter(
             uniform_init(rng, (in_dim * num_centers, out_dim), in_dim * num_centers),
             f"{name}.weights",
         )
-        self.prenorm = LayerNorm(in_dim, name=f"{name}.norm") if prenorm else None
-
-    def parameters(self):
-        params = [self.weights]
-        if self.prenorm is not None:
-            params = self.prenorm.parameters() + params
-        return params
 
     def rbf_features(self, x) -> Tensor:
         """Expand [..., in_dim] to [..., in_dim * K] Gaussian basis activations."""
@@ -207,7 +196,7 @@ class GaussianKanLayer(Module):
             raise ShapeError(f"rbf expects last dim {self.in_dim}, got {x.shape}")
         return gaussian_rbf(x, self.centers, self.bandwidth)
 
-    def __call__(self, x) -> Tensor:
+    def forward(self, x) -> Tensor:
         x = as_tensor(x)
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"kan expects last dim {self.in_dim}, got {x.shape}")
@@ -226,10 +215,7 @@ class MlpBlock(Module):
         self.fc1 = Linear(dim, self.hidden, rng, name=f"{name}.fc1")
         self.fc2 = Linear(self.hidden, dim, rng, name=f"{name}.fc2")
 
-    def modules(self):
-        return [self.fc1, self.fc2]
-
-    def __call__(self, x) -> Tensor:
+    def forward(self, x) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
 
 
@@ -243,8 +229,5 @@ class Conv1dBlock(Module):
         self.weight = Parameter(uniform_init(rng, (kernel_size,), kernel_size), f"{name}.weight")
         self.bias = Parameter(np.zeros(1), f"{name}.bias")
 
-    def parameters(self):
-        return [self.weight, self.bias]
-
-    def __call__(self, x) -> Tensor:
+    def forward(self, x) -> Tensor:
         return conv1d_same(x, self.weight, self.bias)

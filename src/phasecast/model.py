@@ -109,6 +109,8 @@ class ModelConfig:
         if self.precision not in ("float64", "float32"):
             raise ConfigError(
                 f"precision must be 'float64' or 'float32', got {self.precision!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -164,12 +166,6 @@ class InteractionBlock(Module):
             return [Conv1dBlock(cfg.conv_kernel, rng, name=f"{prefix}conv")]
         return []
 
-    def modules(self) -> list[Module]:
-        mods = list(self.mixers)
-        if self.attn_local is not None:
-            mods.extend([self.attn_local, self.attn_fusion])
-        return mods
-
     def forward(self, h: Tensor) -> Tensor:
         cfg = self.config
         # Each stage rebinds `a`, so without a tape a stage's input is freed
@@ -215,9 +211,6 @@ class Forecaster(Module):
 
     # ---- parameters ------------------------------------------------------
 
-    def modules(self) -> list[Module]:
-        return [self.revin, *self.blocks, self.head]
-
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters() if p.trainable)
 
@@ -244,11 +237,8 @@ class Forecaster(Module):
             )
         h, state = self.revin.normalize(x)
         for block in self.blocks:
-            h = block.forward(h)
+            h = block(h)
         return self.revin.denormalize(self.head(h), state)
-
-    def __call__(self, x) -> Tensor:
-        return self.forward(x)
 
     # ---- checkpointing ------------------------------------------------------
 

@@ -45,9 +45,6 @@ class RevIN(Module):
             self.gamma = None
             self.beta = None
 
-    def parameters(self):
-        return [self.gamma, self.beta] if self.affine else []
-
     def normalize(self, x) -> tuple[Tensor, RevinState]:
         x = as_tensor(x)
         if x.ndim != 3 or x.shape[1] != self.num_variates:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,9 +12,11 @@ import pytest
 import phasecast
 from phasecast import data, experiment, synthetic
 from phasecast.cli import main
+from phasecast.data import DatasetSpec
 from phasecast.errors import ConfigError
 from phasecast.model import VARIANTS, Forecaster, ModelConfig
 from phasecast.synthetic import sine_mixture, write_series_csv
+from phasecast.training import TrainSchedule
 
 
 @pytest.fixture
@@ -250,6 +253,33 @@ class TestErrorExits:
                      "--tolerance", tolerance]) == 2
         assert not (tmp_path / "o").exists()
 
+    def test_synth_negative_seed_rejected_before_any_work(self, tmp_path, monkeypatch):
+        # This once created the output directory, then died in numpy, exit 1.
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(synthetic, "write_series_csv", fail)
+        assert main(["synth", "--out", str(tmp_path / "o"), "--seed", "-1",
+                     "--length", "10"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_gradcheck_negative_seed_rejected_before_any_work(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(experiment, "grad_check_model", fail)
+        assert main(["gradcheck", "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_config_seed_rejected(self, tmp_path, tiny_config):
+        _, config = tiny_config
+        config["seed"] = -1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        for command in ("train", "ablate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("inf")),
         ("clip_norm", float("nan")), ("lr_decay", 0.0), ("lr_decay", -0.5),
@@ -277,6 +307,63 @@ class TestConfigRoundTrip:
         second = ExperimentConfig.from_dict(first.to_dict())
         assert first == second
         assert second.to_dict() == first.to_dict()
+
+
+class TestConfigKeys:
+    @staticmethod
+    def every_settable_key(dataset_path):
+        # Non-default values, so a key the runner dropped would show.
+        spec = DatasetSpec(path=str(dataset_path), split_ratio="7:1:2", columns=["v0", "v1"],
+                           forward_fill=True, sort_on_disorder=True)
+        model = ModelConfig(num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2,
+                            rbf_grid=3, rbf_span=(-1.0, 1.0), kan_prenorm=False, mlp_hidden=5,
+                            conv_kernel=5, dropout=0.0, depth=2, variant="mlp-swap",
+                            revin_affine=False, precision="float32")
+        schedule = TrainSchedule(max_epochs=3, patience=2, batch_size=8, learning_rate=0.01,
+                                 clip_norm=1.0, lr_decay=0.9)
+        run_filled = {"num_variates", "lookback", "horizon", "seed"}
+
+        def section(obj):
+            return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                    if f.name not in run_filled}
+
+        config = {"dataset": section(spec), "model": section(model),
+                  "train": section(schedule), "lookback": 8, "horizons": [3]}
+        config["model"]["per_offset_kan"] = False  # retired, but its old default loads
+        return config, spec, model, schedule
+
+    def test_every_dataclass_field_is_accepted(self, tiny_dataset):
+        config, spec, model, schedule = self.every_settable_key(tiny_dataset)
+        loaded = experiment.ExperimentConfig.from_dict(json.loads(json.dumps(config)))
+        assert loaded.dataset_spec(3) == dataclasses.replace(spec, lookback=8, horizon=3)
+        assert loaded.model_config(2, 3) == model
+        assert loaded.schedule() == schedule
+
+    @pytest.mark.parametrize("section", ["dataset", "model", "train"])
+    def test_unknown_key_rejected(self, tiny_dataset, section):
+        config, *_ = self.every_settable_key(tiny_dataset)
+        config[section]["bogus"] = 1
+        with pytest.raises(ConfigError, match="bogus"):
+            experiment.ExperimentConfig.from_dict(config)
+
+
+class TestReportFormat:
+    def test_both_values_write_the_same_files(self, tmp_path, tiny_config):
+        # report_format is validated and kept, but every run writes both files.
+        _, config = tiny_config
+        outputs = {}
+        for fmt in ("json", "csv-table"):
+            config["report_format"] = fmt
+            path = tmp_path / f"{fmt}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"out-{fmt}"
+            assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+            outputs[fmt] = out
+        names = {fmt: sorted(p.name for p in out.iterdir()) for fmt, out in outputs.items()}
+        assert names["json"] == names["csv-table"]
+        assert {"report.json", "table.csv"} <= set(names["json"])
+        assert (outputs["json"] / "table.csv").read_bytes() == \
+            (outputs["csv-table"] / "table.csv").read_bytes()
 
 
 class TestMetricsScale:

@@ -9,6 +9,7 @@ from phasecast.layers import (
     LayerNorm,
     Linear,
     MlpBlock,
+    Module,
     MultiHeadAttention,
     gelu,
 )
@@ -339,3 +340,40 @@ class TestLayerGradients:
         y = Tensor(rng.standard_normal((2, 6)))
         report = grad_check(lambda: mse_loss(layer(x), y), layer.parameters())
         assert report.passed, report
+
+
+def all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_subclasses(sub)
+
+
+class TestModuleProtocol:
+    def test_no_layer_overrides_call_or_the_walk(self):
+        # Model and RevIN are imported above or by phasecast.model, so every
+        # Module subclass in the package is loaded here.
+        subclasses = [cls for cls in all_subclasses(Module)
+                      if cls.__module__.startswith("phasecast.")]
+        assert {cls.__name__ for cls in subclasses} >= {
+            "Linear", "LayerNorm", "MultiHeadAttention", "GaussianKanLayer", "MlpBlock",
+            "Conv1dBlock", "RevIN", "InteractionBlock", "Forecaster"}
+        for cls in subclasses:
+            assert not {"__call__", "parameters", "modules"} & set(vars(cls)), cls
+            assert "forward" in vars(cls) or cls.__name__ == "RevIN", cls
+
+    def test_call_runs_forward(self):
+        layer = Linear(3, 2, rng_for(20))
+        x = Tensor(rng_for(21).standard_normal((4, 3)))
+        np.testing.assert_array_equal(layer(x).data, layer.forward(x).data)
+
+    def test_walk_follows_assignment_order_and_skips_non_members(self):
+        rng = rng_for(22)
+        kan = GaussianKanLayer(4, 4, rng, num_centers=3, name="k")
+        assert [p.name for p in kan.parameters()] == ["k.norm.gamma", "k.norm.beta",
+                                                      "k.weights"]
+        mlp = MlpBlock(4, rng, name="m")
+        assert [p.name for p in mlp.parameters()] == ["m.fc1.weight", "m.fc1.bias",
+                                                      "m.fc2.weight", "m.fc2.bias"]
+        # The dropout generator and the RBF centres are attributes, not members.
+        assert [p.name for p in MultiHeadAttention(4, 2, rng, name="a").parameters()] == \
+            ["a.wq", "a.wk", "a.wv", "a.wo"]

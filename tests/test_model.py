@@ -54,6 +54,12 @@ class TestShapes:
         with pytest.raises(ConfigError):
             ModelConfig(num_variates=2, variant="bogus").validate()
 
+    def test_negative_seed_rejected_before_the_generator(self):
+        # -5 once reached np.random.default_rng and died with a ValueError.
+        with pytest.raises(ConfigError, match="seed"):
+            Forecaster(small_config(seed=-5))
+        small_config(seed=0).validate()
+
     def test_dropout_whose_keep_probability_rounds_to_zero_rejected(self):
         ModelConfig(num_variates=2, dropout=1 - 2**-16).validate()  # keeps 1 in 2**16
         with pytest.raises(ConfigError, match="dropout"):
@@ -170,6 +176,33 @@ class TestParameterCount:
         payload = json.loads(path.read_text())
         total = sum(len(entry["data"]) for entry in payload["params"].values())
         assert total == model.parameter_count()
+
+
+class TestParameterOrder:
+    def test_full_variant_depth_one(self):
+        # Assignment order in each layer; it is the order of a checkpoint's params.
+        names = [p.name for p in Forecaster(small_config()).parameters()]
+        assert names == [
+            "revin.gamma", "revin.beta", "kan.norm.gamma", "kan.norm.beta", "kan.weights",
+            "attn_local.wq", "attn_local.wk", "attn_local.wv", "attn_local.wo",
+            "attn_fusion.wq", "attn_fusion.wk", "attn_fusion.wv", "attn_fusion.wo",
+            "head.weight", "head.bias",
+        ]
+
+    def test_optional_parameters_are_left_out(self):
+        model = Forecaster(small_config(revin_affine=False, kan_prenorm=False,
+                                        variant="mote-only"))
+        assert [p.name for p in model.parameters()] == ["kan.weights", "head.weight",
+                                                        "head.bias"]
+
+    def test_train_and_eval_reach_modules_in_lists(self):
+        model = Forecaster(small_config(depth=2))
+        kans = [block.mixers[0] for block in model.blocks]
+        assert not any(kan.training or kan.prenorm.training for kan in kans)
+        model.train()
+        assert all(kan.training and kan.prenorm.training for kan in kans)
+        model.eval()
+        assert not any(kan.training or kan.prenorm.training for kan in kans)
 
 
 class TestCheckpoint:

@@ -205,6 +205,10 @@ class TestEarlyStopping:
         with pytest.raises(ConfigError):
             TrainSchedule(max_epochs=2, patience=5).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainSchedule(seed=-1).validate()
+
     def test_empty_training_split_rejected(self):
         model = tiny_model()
         empty = (np.zeros((0, 2, 8)), np.zeros((0, 2, 3)))

@@ -52,6 +52,18 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown config key(s) {unknown} in {where}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` subclasses ``int``, so ``true`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_key(raw: dict, key: str, default: int) -> int:
+    value = raw.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     dataset_path: str
@@ -84,7 +96,7 @@ class ExperimentConfig:
 
         horizons = raw.get("horizons", [96, 192, 336, 720])
         if not isinstance(horizons, list) or not horizons or \
-                not all(isinstance(h, int) and h > 0 for h in horizons):
+                not all(_is_int(h) and h > 0 for h in horizons):
             raise ConfigError(f"'horizons' must be a non-empty list of positive ints, got {horizons}")
         metrics_scale = raw.get("metrics_scale", "standardized")
         if metrics_scale not in ("standardized", "raw"):
@@ -99,9 +111,9 @@ class ExperimentConfig:
             columns=dataset.get("columns"),
             forward_fill=bool(dataset.get("forward_fill", False)),
             sort_on_disorder=bool(dataset.get("sort_on_disorder", False)),
-            lookback=int(raw.get("lookback", 96)),
+            lookback=_int_key(raw, "lookback", 96),
             horizons=list(horizons),
-            seed=int(raw.get("seed", 2024)),
+            seed=_int_key(raw, "seed", 2024),
             metrics_scale=metrics_scale,
             output_dir=raw.get("output_dir", "runs/latest"),
             report_format=report_format,

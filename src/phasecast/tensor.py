@@ -559,8 +559,9 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     as its last column; with dropout the factor needs the sum of the unmasked
     E, which takes one pass. That leaves the score GEMM, ``exp`` and the value
     GEMM as the passes over a block's ``[Sq, Skv]`` arrays, plus the sum, the
-    mask and its multiply with dropout. The augmented operands are built per
-    block in reused buffers.
+    mask and its multiply with dropout; the multiply masks E in place, after
+    the sum, so no second ``[Sq, Skv]`` buffer is made. The augmented
+    operands are built per block in reused buffers.
 
     A matrix takes the exact path instead (score GEMM, a scan for
     non-finite scores whose error names ``attention``, then the row max as
@@ -665,7 +666,6 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     if rng is None:
         va, oa = np.ones(shape[:2] + (skv, d + 1), dtype), np.empty_like(qa)
     else:
-        dropped = np.empty(shape, dtype)  # E * mask
         reused_mask = None if taped else np.empty(shape, bool)
 
     out = np.empty(q.shape, dtype)
@@ -702,9 +702,11 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
                 # `<= threshold - 1`: a threshold of 2**16 does not fit in uint16.
                 mask = np.less_equal(draws, threshold - 1,
                                      out=None if taped else reused_mask[:nb, :nh])
-                # v, not [v, 1]: at head size 12 an unused sum column would
-                # cost a quarter of this GEMM.
-                np.matmul(np.multiply(e, mask, out=dropped[:nb, :nh]), vs[block], out=out_b)
+                # The sum above was forward's last read of the unmasked E, so
+                # the mask goes on in place. v, not [v, 1]: at head size 12 an
+                # unused sum column would cost a quarter of this GEMM.
+                e *= mask
+                np.matmul(e, vs[block], out=out_b)
                 out_b *= coef
             if taped:
                 kept.append((coef, mask, pairs))

@@ -126,11 +126,15 @@ class TrainReport:
         }
 
 
-def predict(model, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Forecasts [M, N, F] for a window set, in batches, in eval mode and without a tape.
+def _for_each_batch(model, inputs: np.ndarray, batch_size: int, consume) -> None:
+    """Run the model over a window set in batches, in eval mode and without a tape.
 
-    This is the one inference path: validation and test both go through it.
-    The model's training flag is restored afterwards, also when a batch raises.
+    This is the one inference path: ``predict``, ``evaluate_mse`` and so
+    validation and test all go through it. ``consume(lo, pred)`` gets each
+    batch's forecast, whose first window is ``inputs[lo]``, and the loop keeps
+    no reference to it, so a batch's forecast is freed before the next forward
+    unless ``consume`` keeps it. The model's training flag is restored
+    afterwards, also when a forward or ``consume`` raises.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
@@ -140,22 +144,51 @@ def predict(model, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
     model.eval()
     try:
         with no_grad():
-            preds = [model.forward(inputs[lo:lo + batch_size]).data
-                     for lo in range(0, inputs.shape[0], batch_size)]
+            for lo in range(0, inputs.shape[0], batch_size):
+                consume(lo, model.forward(inputs[lo:lo + batch_size]).data)
     finally:
         if was_training:
             model.train()
-    return np.concatenate(preds, axis=0)
+
+
+def predict(model, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Forecasts [M, N, F] for a window set (see ``_for_each_batch``).
+
+    Each batch is written into one array, allocated at the first batch in the
+    forecast's dtype.
+    """
+    out = None
+
+    def write(lo, pred):
+        nonlocal out
+        if out is None:
+            out = np.empty((inputs.shape[0],) + pred.shape[1:], pred.dtype)
+        out[lo:lo + pred.shape[0]] = pred
+
+    _for_each_batch(model, inputs, batch_size, write)
+    return out
 
 
 def evaluate_mse(model, inputs: np.ndarray, targets: np.ndarray, batch_size: int = 256) -> float:
-    """Mean squared error of the model over a window set (see ``predict``)."""
-    pred = predict(model, inputs, batch_size)
+    """Mean squared error of the model over a window set; keeps no forecast.
+
+    ``targets`` must be [M, N, F] for the model's N and F and the M windows of
+    ``inputs``; any other shape is a ``DataError`` before any forward.
+    """
+    cfg = model.config
+    expected = (inputs.shape[0], cfg.num_variates, cfg.horizon)
+    if targets.shape != expected:
+        raise DataError(f"targets are {targets.shape}; {inputs.shape[0]} windows of a model "
+                        f"with N = {cfg.num_variates}, F = {cfg.horizon} forecast {expected}")
+    total = 0.0
+
     # Summed batch by batch: a fixed summation order keeps the value, and the
     # early stopping that reads it, the same bit for bit across batch layouts.
-    total = 0.0
-    for lo in range(0, pred.shape[0], batch_size):
-        total += float(((pred[lo:lo + batch_size] - targets[lo:lo + batch_size]) ** 2).sum())
+    def add(lo, pred):
+        nonlocal total
+        total += float(((pred - targets[lo:lo + pred.shape[0]]) ** 2).sum())
+
+    _for_each_batch(model, inputs, batch_size, add)
     return total / targets.size
 
 

@@ -281,6 +281,25 @@ class TestErrorExits:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [
+        ("seed", "x"), ("seed", None), ("seed", 1.5), ("seed", True), ("seed", 2024.0),
+        ("lookback", "8"), ("lookback", None), ("lookback", 8.5), ("lookback", True),
+        ("lookback", 8.0),
+        ("horizons", [True]), ("horizons", [3, False]), ("horizons", [3.0]), ("horizons", 3),
+    ])
+    def test_non_integer_top_level_value_rejected(self, tmp_path, tiny_config, key, value):
+        # seed and lookback were read with int(): "x" and null died with a
+        # traceback (exit 1), 1.5 and true ran as 1; horizons took true as 1.
+        _, config = tiny_config
+        config[key] = value
+        with pytest.raises(ConfigError, match=key):
+            experiment.ExperimentConfig.from_dict(config)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        for command in ("train", "eval", "ablate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
         ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("inf")),
         ("clip_norm", float("nan")), ("lr_decay", 0.0), ("lr_decay", -0.5),
         ("lr_decay", float("inf")), ("lr_decay", float("nan")),

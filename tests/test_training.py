@@ -25,6 +25,7 @@ from phasecast.tensor import (
 from phasecast.training import (
     Adam,
     TrainSchedule,
+    _for_each_batch,
     evaluate_mse,
     grad_check,
     mse_loss,
@@ -386,3 +387,68 @@ class TestPredict:
     def test_empty_window_set_rejected(self):
         with pytest.raises(DataError):
             predict(tiny_model(), np.zeros((0, 2, 8)))
+
+    def test_evaluate_mse_keeps_no_forecast(self):
+        # Eight batches of a long horizon: the forecast set (1 MiB) outweighs
+        # one batch's forward. Holding every batch's forecast and then their
+        # concatenation peaked at twice its bytes.
+        model = Forecaster(ModelConfig(
+            num_variates=2, lookback=8, horizon=512, offsets=2, num_heads=2,
+            rbf_grid=3, dropout=0.0, seed=3))
+        rng = np.random.default_rng(4)
+        inputs = rng.standard_normal((128, 2, 8))
+        targets = rng.standard_normal((128, 2, 512))
+        forecast_bytes = targets.nbytes
+        expected = evaluate_mse(model, inputs, targets, batch_size=16)
+        tracemalloc.start()
+        try:
+            got = evaluate_mse(model, inputs, targets, batch_size=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < forecast_bytes, (peak, forecast_bytes)
+
+    def test_training_flag_restored_when_consume_raises(self):
+        model = tiny_model()
+        _, _, (test_x, _) = tiny_windows()
+        model.train()
+        seen = []
+
+        def consume(lo, pred):
+            seen.append((lo, model.training))
+            raise RuntimeError("consumer failed")
+
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            _for_each_batch(model, test_x, 4, consume)
+        assert seen == [(0, False)]
+        assert model.training
+
+    def test_float32_model_predicts_float32(self):
+        model = Forecaster(ModelConfig(
+            num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2,
+            rbf_grid=3, dropout=0.0, precision="float32"))
+        _, _, (test_x, _) = tiny_windows()
+        pred = predict(model, test_x, 7)
+        assert pred.dtype == np.float32 and pred.shape == (len(test_x), 2, 3)
+
+    @pytest.mark.parametrize("case", ["one window short", "one window over",
+                                      "horizon 1 for a horizon-3 model", "three variates"])
+    def test_mismatched_targets_rejected_before_any_forward(self, monkeypatch, case):
+        # The first two once broadcast in the last batch and returned a number,
+        # as did a horizon-1 target against a horizon-3 model.
+        model = tiny_model()
+        _, _, (test_x, test_y) = tiny_windows()
+        targets = {
+            "one window short": test_y[:-1],
+            "one window over": np.concatenate([test_y, test_y[:1]]),
+            "horizon 1 for a horizon-3 model": test_y[..., :1],
+            "three variates": np.concatenate([test_y, test_y[:, :1]], axis=1),
+        }[case]
+        forwards = []
+        monkeypatch.setattr(model, "forward", forwards.append)
+        expected = (len(test_x), 2, 3)
+        with pytest.raises(DataError) as err:
+            evaluate_mse(model, test_x, targets, 7)
+        assert str(targets.shape) in str(err.value) and str(expected) in str(err.value)
+        assert forwards == []

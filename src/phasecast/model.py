@@ -204,7 +204,7 @@ class Forecaster(Module):
         names = []
         for p in self.parameters():
             p.data = p.data.astype(self.dtype, copy=False)
-            p.zero_grad()
+            p.grad = np.zeros_like(p.data)
             names.append(p.name)
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate parameter names in model: {sorted(names)}")
@@ -261,7 +261,7 @@ class Forecaster(Module):
                 )
             if not np.all(np.isfinite(arr)):
                 raise ConfigError(f"checkpoint entry {name} holds NaN or Inf")
-            param.data = arr.copy()
+            param.data[...] = arr
 
     def save_checkpoint(self, path) -> None:
         # json.dump's text for {magic, version, config, params}, encoded by

@@ -20,8 +20,10 @@ receives, nor into an array after passing it to a parent. An interior node
 therefore holds the first gradient it receives by reference, without a copy,
 when its dtype and shape already match; a second one is added out of place
 (``grad + g``). Leaves own their grads: a plain tensor copies its first
-gradient and a ``Parameter`` adds into its zeroed one, so code outside the
-tape may write into a leaf's ``grad``.
+gradient and a ``Parameter`` adds into its zeroed one in place. Once
+``training.Adam`` has made a ``Parameter``'s ``data`` and ``grad`` views into
+its flat buffers, nothing rebinds them: code outside the tape writes into
+them (``p.grad[...] = x``), never ``p.grad = x``.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
         if not self.requires_grad:
@@ -220,7 +219,10 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        self.grad.fill(0)
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        self.grad += g
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"

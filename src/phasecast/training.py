@@ -8,7 +8,7 @@ import ctypes
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,11 @@ class TrainSchedule:
 
 
 class Adam:
-    """Standard Adam with bias correction; gradients are zeroed after each step."""
+    """Standard Adam with bias correction over flat ``data``, ``grad``, ``m`` and ``v`` arrays.
+
+    The parameters are packed into them in list order, and each parameter's
+    ``data`` and ``grad`` become views: write ``p.grad[...] = x``, not ``p.grad = x``.
+    """
 
     def __init__(self, params, lr: float = 0.003, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -66,45 +70,40 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {id(p): np.zeros_like(p.data) for p in self.params}
-        self.v = {id(p): np.zeros_like(p.data) for p in self.params}
-
-    def zero_grad(self) -> None:
+        self.data = np.concatenate([p.data.reshape(-1) for p in self.params])
+        self.grad = np.concatenate([p.grad.reshape(-1) for p in self.params], dtype=self.data.dtype)
+        lo = 0
         for p in self.params:
-            p.zero_grad()
+            p.data, p.grad = (flat[lo:lo + p.size].reshape(p.shape) for flat in (self.data, self.grad))
+            lo += p.size
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def step(self) -> None:
-        # Every gradient is scanned before any update, so a non-finite one
+        # The whole gradient is scanned before any update, so a non-finite one
         # leaves the parameters, the moments and t as they were.
-        trainable = [p for p in self.params if p.trainable]
-        for p in trainable:
-            if not np.all(np.isfinite(p.grad)):
-                raise NonFiniteError(f"non-finite gradient for {p.name}")
+        g = self.grad
+        finite = np.isfinite(g)
+        if not finite.all():
+            owner = np.searchsorted(np.cumsum([p.size for p in self.params]),
+                                    np.argmin(finite), side="right")
+            raise NonFiniteError(f"non-finite gradient for {self.params[owner].name}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p in trainable:
-            g = p.grad
-            m = self.m[id(p)]
-            v = self.v[id(p)]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        self.zero_grad()
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (g * g)
+        self.data -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        g.fill(0)
 
 
-def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    total = 0.0
-    for p in params:
-        total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Scale a flat gradient in place to L2 norm at most ``max_norm``; return the norm before."""
+    norm = float(np.sqrt(np.dot(grad, grad)))
     if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params:
-            p.grad = p.grad * scale
+        grad *= max_norm / norm
     return norm
 
 
@@ -117,13 +116,7 @@ class TrainReport:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "best_epoch": self.best_epoch,
-            "stopped_epoch": self.stopped_epoch,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 def _for_each_batch(model, inputs: np.ndarray, batch_size: int, consume) -> None:
@@ -237,9 +230,10 @@ def train_model(model, train_windows, val_windows, schedule: TrainSchedule,
 
     rng = np.random.default_rng(schedule.seed)
     opt = Adam(model.parameters(), lr=schedule.learning_rate)
+    opt.grad.fill(0)  # a gradient left from before training must not enter the first step
     report = TrainReport()
     best_val = np.inf
-    best_state = model.state_dict()
+    best_state = opt.data.copy()
     bad_epochs = 0
     started = time.perf_counter()
 
@@ -252,10 +246,9 @@ def train_model(model, train_windows, val_windows, schedule: TrainSchedule,
             idx = order[lo:lo + schedule.batch_size]
             pred = model.forward(train_x[idx])
             loss = mse_loss(pred, Tensor(train_y[idx].astype(pred.data.dtype, copy=False)))
-            opt.zero_grad()
             loss.backward()
             if schedule.clip_norm is not None:
-                clip_gradients(opt.params, schedule.clip_norm)
+                clip_gradients(opt.grad, schedule.clip_norm)
             opt.step()
             epoch_loss += loss.item()
             batches += 1
@@ -271,7 +264,7 @@ def train_model(model, train_windows, val_windows, schedule: TrainSchedule,
 
         if val < best_val:
             best_val = val
-            best_state = model.state_dict()
+            best_state = opt.data.copy()
             report.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -282,7 +275,7 @@ def train_model(model, train_windows, val_windows, schedule: TrainSchedule,
         if schedule.lr_decay is not None:
             opt.lr *= schedule.lr_decay
 
-    model.load_state_dict(best_state)
+    opt.data[...] = best_state
     model.eval()
     report.wall_time_s = time.perf_counter() - started
     return report
@@ -300,13 +293,7 @@ class GradCheckReport:
         return self.max_rel_error < self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "max_rel_error": self.max_rel_error,
-            "worst_name": self.worst_name,
-            "coords_checked": self.coords_checked,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def grad_check(loss_fn, params, step: float = 1e-5, tolerance: float = 1e-4,

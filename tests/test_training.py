@@ -26,6 +26,7 @@ from phasecast.training import (
     Adam,
     TrainSchedule,
     _for_each_batch,
+    clip_gradients,
     evaluate_mse,
     grad_check,
     mse_loss,
@@ -142,17 +143,112 @@ class TestAdam:
         a = Parameter(np.array([1.0]), "a")
         b = Parameter(np.array([2.0]), "b")
         opt = Adam([a, b])
-        a.grad = np.array([1.0])
-        b.grad = np.array([np.nan])
+        a.grad[...] = 1.0
+        b.grad[...] = np.nan
         with pytest.raises(NonFiniteError, match="for b"):
             opt.step()
         assert (a.data[0], b.data[0], opt.t) == (1.0, 2.0, 0)
-        assert not any(moment.any() for moment in (*opt.m.values(), *opt.v.values()))
+        assert not (opt.m.any() or opt.v.any())
 
-        b.grad = np.array([-1.0])  # the retried step is a whole first step
+        b.grad[...] = -1.0  # the retried step is a whole first step
         opt.step()
         np.testing.assert_allclose([a.data[0], b.data[0]], [0.997, 2.003], rtol=1e-9)
         assert opt.t == 1
+
+    def test_parameters_become_views_of_the_flat_buffers(self):
+        a = Parameter(np.array([[1.0, 2.0], [3.0, 4.0]]), "a")
+        b = Parameter(np.array([5.0]), "b")
+        b.grad[...] = 7.0
+        opt = Adam([a, b])
+        np.testing.assert_array_equal(opt.data, [1.0, 2.0, 3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(opt.grad, [0.0, 0.0, 0.0, 0.0, 7.0])
+        assert a.shape == (2, 2) and np.shares_memory(a.data, opt.data)
+        a.square().sum().backward()  # the tape adds into the views
+        np.testing.assert_array_equal(opt.grad, [2.0, 4.0, 6.0, 8.0, 7.0])
+        opt.step()
+        assert not opt.grad.any()
+        assert np.shares_memory(a.grad, opt.grad) and np.shares_memory(b.data, opt.data)
+
+
+class TestClipGradients:
+    def test_gradient_above_the_norm_is_scaled_to_it(self):
+        grad = np.array([3.0, -4.0, 12.0])  # norm 13
+        direction = grad / 13.0
+        assert clip_gradients(grad, 6.5) == 13.0
+        assert abs(np.linalg.norm(grad) - 6.5) <= 1e-15 * 6.5
+        np.testing.assert_allclose(grad / 6.5, direction, rtol=1e-15)
+
+    @pytest.mark.parametrize("max_norm", [5.0, 5.5, 1e9])
+    def test_gradient_at_or_below_the_norm_is_untouched(self, max_norm):
+        grad = np.array([3.0, 4.0])  # norm exactly 5
+        before = grad.copy()
+        assert clip_gradients(grad, max_norm) == 5.0
+        assert grad.tobytes() == before.tobytes()
+
+    def test_clipped_training_finishes_with_finite_losses(self):
+        model = tiny_model()
+        train, val, _ = tiny_windows()
+        report = train_model(model, train, val, TrainSchedule(
+            max_epochs=3, patience=3, batch_size=16, learning_rate=0.01, seed=1,
+            clip_norm=0.05))
+        assert np.all(np.isfinite(report.train_losses + report.val_losses))
+        assert all(np.all(np.isfinite(p.data)) for p in model.parameters())
+
+
+class TestPackedParameters:
+    def test_load_state_dict_writes_what_the_next_step_updates(self):
+        train, _, _ = tiny_windows()
+        x, y = train[0][:8], train[1][:8]
+        source = tiny_model(seed=9)
+        state = source.state_dict()
+        stepped = []
+        for load_first in (True, False):
+            model = tiny_model()
+            if load_first:
+                model.load_state_dict(state)
+            opt = Adam(model.parameters(), lr=0.01)
+            if not load_first:
+                model.load_state_dict(state)  # after packing: writes into the views
+            mse_loss(model.forward(x), Tensor(y)).backward()
+            opt.step()
+            stepped.append(model.state_dict())
+        for name in state:
+            assert stepped[0][name].tobytes() == stepped[1][name].tobytes()
+        assert not np.array_equal(stepped[1]["head.weight"], state["head.weight"])
+
+    def test_float32_model_keeps_float32_buffers_through_training(self, monkeypatch):
+        made = []
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(phasecast.training, "Adam", RecordingAdam)
+        model = Forecaster(ModelConfig(
+            num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2,
+            rbf_grid=3, dropout=0.1, seed=3, precision="float32"))
+        assert all(p.grad.dtype == np.float32 for p in model.parameters())
+        train, val, _ = tiny_windows()
+        train_model(model, train, val, TrainSchedule(
+            max_epochs=2, patience=2, batch_size=16, learning_rate=0.01, seed=1, clip_norm=0.5))
+        (opt,) = made
+        arrays = [opt.data, opt.grad, opt.m, opt.v]
+        arrays += [a for p in model.parameters() for a in (p.data, p.grad)]
+        assert all(a.dtype == np.float32 for a in arrays)
+
+    def test_gradient_left_before_training_is_dropped(self):
+        train, val, _ = tiny_windows()
+        schedule = TrainSchedule(max_epochs=2, patience=2, batch_size=16,
+                                 learning_rate=0.01, seed=1)
+        stale = tiny_model()
+        for p in stale.parameters():
+            p.grad[...] = 1.0
+        fresh = tiny_model()
+        assert train_model(stale, train, val, schedule).train_losses == \
+            train_model(fresh, train, val, schedule).train_losses
+        for a, b in zip(stale.parameters(), fresh.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
 
 class TestEarlyStopping:
     def test_injected_monotone_worsening_patience_three(self):

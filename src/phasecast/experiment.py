@@ -40,6 +40,7 @@ _DATASET_KEYS = _field_names(DatasetSpec) - {"lookback", "horizon"}
 _MODEL_KEYS = (_field_names(ModelConfig) - {"num_variates", "lookback", "horizon", "seed"}) \
     | {"per_offset_kan"}
 _TRAIN_KEYS = _field_names(TrainSchedule) - {"seed"}
+# report_format is retired; from_dict accepts only its old default.
 _TOP_KEYS = {
     "dataset", "model", "train", "lookback", "horizons", "seed",
     "metrics_scale", "output_dir", "report_format",
@@ -76,7 +77,6 @@ class ExperimentConfig:
     seed: int = 2024
     metrics_scale: str = "standardized"
     output_dir: str = "runs/latest"
-    report_format: str = "json"
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
 
@@ -101,9 +101,9 @@ class ExperimentConfig:
         metrics_scale = raw.get("metrics_scale", "standardized")
         if metrics_scale not in ("standardized", "raw"):
             raise ConfigError(f"metrics_scale must be 'standardized' or 'raw', got {metrics_scale!r}")
-        report_format = raw.get("report_format", "json")
-        if report_format not in ("json", "csv-table"):
-            raise ConfigError(f"report_format must be 'json' or 'csv-table', got {report_format!r}")
+        if raw.get("report_format", "json") != "json":
+            raise ConfigError(f"report_format is no longer supported (got "
+                              f"{raw['report_format']!r}): every run writes report.json and table.csv")
 
         cfg = cls(
             dataset_path=dataset["path"],
@@ -116,7 +116,6 @@ class ExperimentConfig:
             seed=_int_key(raw, "seed", 2024),
             metrics_scale=metrics_scale,
             output_dir=raw.get("output_dir", "runs/latest"),
-            report_format=report_format,
             model=dict(model),
             train=dict(train),
         )
@@ -149,7 +148,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "metrics_scale": self.metrics_scale,
             "output_dir": str(self.output_dir),
-            "report_format": self.report_format,
         }
 
     def dataset_spec(self, horizon: int) -> DatasetSpec:

@@ -473,13 +473,17 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul requires 2-D or higher operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
+    shared = b.ndim == 2 and a.ndim > 2  # a shared weight: one 2-D GEMM over all rows
     try:
-        data = np.matmul(a.data, b.data)
+        if shared:
+            data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+        else:
+            data = np.matmul(a.data, b.data)
     except ValueError as err:
         raise ShapeError(f"matmul batch dimensions incompatible: {a.shape} vs {b.shape}: {err}") from None
 
     def backward_fn(g):
-        if b.ndim == 2 and a.ndim > 2:  # a shared weight: one GEMM over all rows
+        if shared:
             rows = g.reshape(-1, g.shape[-1])
             ga = (rows @ b.data.T).reshape(a.shape)
             gb = a.data.reshape(-1, a.shape[-1]).T @ rows
@@ -563,7 +567,17 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     GEMM as the passes over a block's ``[Sq, Skv]`` arrays, plus the sum, the
     mask and its multiply with dropout; the multiply masks E in place, after
     the sum, so no second ``[Sq, Skv]`` buffer is made. The augmented
-    operands are built per block in reused buffers.
+    operands are built per block in reused buffers, q's as one flat
+    ``q * scale`` over the block's rows and a copy.
+
+    The heads make the ``[..., d]`` axis tiny (d = 3 at L = 96 with four
+    offsets and 8 heads), and numpy runs a broadcast over such an axis as one
+    inner loop per row, so the per-row work is done on the ``[..., Sq,
+    heads * d]`` layout instead. coef is one ``[count, Sq, heads]`` array.
+    With dropout the output rows are scaled by one flat multiply against
+    the block's factors repeated d times (``np.repeat``), made per block so
+    no batch-sized array is added; without dropout, where the output comes
+    out of ``[E @ v, rowsum(E)]``, one strided multiply scales it on the way.
 
     A matrix takes the exact path instead (score GEMM, a scan for
     non-finite scores whose error names ``attention``, then the row max as
@@ -577,11 +591,15 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     Every matrix is computed on its own, so neither the block size nor the
     head layout changes a value, and taped and untaped calls run the same
     arithmetic, E in place in one reused buffer. A taped call keeps no
-    ``[Sq, Skv]`` float array: per block it keeps coef, the boolean mask and
-    the matrices the guard redid, and backward rebuilds each block's E with
-    the same GEMM and ``exp``, bit for bit, without touching ``rng``. It uses
-    ``D = rowsum(dO * O)`` for the softmax term (Dao et al. 2022), so the
-    normalized weights are never built.
+    ``[Sq, Skv]`` float array: it keeps coef and, per block, the boolean
+    mask and the matrices the guard redid, and backward rebuilds each
+    block's E with the same GEMM and ``exp``, bit for bit, without touching
+    ``rng``. It uses ``D = rowsum(dO * O)`` for the softmax term (Dao et al.
+    2022), so the normalized weights are never built; D is made once per
+    call, as one flat ``dO * O`` and one GEMV over d. Its multiplies by coef
+    (of dO before the value-gradient GEMM, of q before the key-gradient GEMM
+    and of the query gradient) are flat passes against the repeated factors,
+    as in forward.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or q.shape[-1] != k.shape[-1] or k.shape != v.shape \
@@ -605,10 +623,20 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     finfo = np.finfo(dtype)
     max_shift, min_sum = finfo.max / 2, np.sqrt(finfo.tiny)
 
-    def split(a):  # [..., S, heads * d] -> [count, heads, S, d], a view when a is C-ordered
-        return a.reshape(count, a.shape[-2], heads, d).swapaxes(1, 2)
+    def split(a):  # [n, S, nh * d] -> [n, nh, S, d], a view when a is C-ordered
+        return a.reshape(a.shape[0], a.shape[1], a.shape[2] // d, d).swapaxes(1, 2)
 
-    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    def rows_of(block, width=d):
+        """The block's part of a ``[count, S, heads * width]`` array: ``[nb, S, nh * width]``."""
+        i, h = block
+        return i, slice(None), slice(h.start * width, h.stop * width)
+
+    def repeat(factor, block):
+        """The block's ``[count, S, heads]`` factors repeated d times, shaped like ``rows_of``."""
+        return np.repeat(factor[rows_of(block, 1)], d, axis=-1)
+
+    q3, k3, v3 = (t.data.reshape(count, t.shape[-2], heads * d) for t in (q, k, v))
+    qs, ks, vs = split(q3), split(k3), split(v3)
     # Overflow and 0 * inf land in a shift that the guard rejects. The shift
     # is built negated and C-ordered and copied into the q buffers: numpy
     # 2.4's AVX-512 `negative` miswrites a 64-byte-strided input into a
@@ -650,7 +678,7 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
         """The block's ``E = exp(s - m)``, in place in ``scores``."""
         nb, nh = unsafe[block].shape
         qa_b, kt_b, e = qa[:nb, :nh], kt[:nb, :nh], scores[:nb, :nh]
-        np.multiply(qs[block], scale, out=qa_b[..., :d])
+        qa_b[..., :d] = split(q3[rows_of(block)] * scale)  # flat multiply, then a copy
         qa_b[..., d] = neg_shift[block]
         kt_b[..., :d, :] = np.swapaxes(ks[block], -1, -2)
         return np.exp(np.matmul(qa_b, kt_b, out=e), out=e)
@@ -671,8 +699,10 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
         reused_mask = None if taped else np.empty(shape, bool)
 
     out = np.empty(q.shape, dtype)
-    outs = split(out)
-    kept = []  # (coef, mask, exact-path pairs) per block, for backward
+    out3 = out.reshape(q3.shape)
+    outs = split(out3)
+    coef = np.empty((count, sq, heads), dtype)  # (1 / keep_prob) / rowsum(E) per row and head
+    kept = []  # (mask, exact-path pairs) per block, for backward
     # Only matrices the guard sends down the exact path can overflow here.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in blocks:
@@ -693,11 +723,14 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
                     np.matmul(e[i, j], va_b[i, j], out=oa_b[i, j])
                 else:
                     sums[i, j] = e[i, j].sum(axis=-1, keepdims=True)
-            coef = inv_keep / sums
+            coef_b = inv_keep / sums
+            if taped or rng is not None:  # the dropout path and backward read it flat
+                coef[rows_of(block, 1)] = coef_b[..., 0].swapaxes(1, 2)
             mask = None
-            out_b = outs[block]
             if rng is None:
-                np.multiply(oa_b[..., :d], coef, out=out_b)
+                # One strided pass: copying out of [E @ v, rowsum(E)] first
+                # and scaling flat would cost a pass more per block.
+                np.multiply(oa_b[..., :d], coef_b, out=outs[block])
             else:
                 draws = rng.bit_generator.random_raw((nb * nh, words)).view(np.uint16)
                 draws = draws[:, :sq * skv].reshape(nb, nh, sq, skv)
@@ -708,39 +741,46 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
                 # the mask goes on in place. v, not [v, 1]: at head size 12 an
                 # unused sum column would cost a quarter of this GEMM.
                 e *= mask
-                np.matmul(e, vs[block], out=out_b)
-                out_b *= coef
+                np.matmul(e, vs[block], out=outs[block])
+                out_b = out3[rows_of(block)]
+                out_b *= repeat(coef, block)
             if taped:
-                kept.append((coef, mask, pairs))
+                kept.append((mask, pairs))
 
     def backward_fn(g):
-        gs = split(g)
+        g3 = g.reshape(q3.shape)
         gq, gk, gv = (np.empty(t.shape, t.data.dtype) for t in (q, k, v))
-        gqs, gks, gvs = split(gq), split(gk), split(gv)
+        gq3 = gq.reshape(q3.shape)
+        gs, gqs = split(g3), split(gq3)
+        gks, gvs = (split(a.reshape(k3.shape)) for a in (gk, gv))
+        # D = rowsum(dO * O) for every row and head at once: one flat product,
+        # held in gq until the blocks overwrite it, and one GEMV over d.
+        dsum = np.matmul(np.multiply(g3, out3, out=gq3).reshape(-1, d), np.ones(d, dtype))
+        dsum = dsum.reshape(coef.shape)
+        dsum *= keep_prob
         scores, qa, kt = exp_buffers()
         buf = np.empty(shape, dtype)  # E * mask, then the score gradient
         # v^T per block: a GEMM against a transposed view is slower.
         vt = np.empty(shape[:2] + (d, skv), dtype)
-        for block, (coef, mask, pairs) in zip(blocks, kept):
+        for block, (mask, pairs) in zip(blocks, kept):
             with np.errstate(over="ignore", invalid="ignore"):
                 e = block_exp(block, scores, qa, kt)
                 exact_exp(e, pairs, qa, kt)
             nb, nh = e.shape[:2]
-            g_b = gs[block]
+            rows, factor = rows_of(block), repeat(coef, block)
             e_kept = e if mask is None else np.multiply(e, mask, out=buf[:nb, :nh])
-            np.matmul(np.swapaxes(e_kept, -1, -2), g_b * coef, out=gvs[block])
+            np.matmul(np.swapaxes(e_kept, -1, -2), split(g3[rows] * factor), out=gvs[block])
             vt[:nb, :nh] = np.swapaxes(vs[block], -1, -2)
-            x = np.matmul(g_b, vt[:nb, :nh], out=buf[:nb, :nh])
+            x = np.matmul(gs[block], vt[:nb, :nh], out=buf[:nb, :nh])
             if mask is not None:
                 x *= mask
-            dsum = (g_b * outs[block]).sum(axis=-1, keepdims=True)
-            dsum *= keep_prob
-            x -= dsum
+            x -= dsum[rows_of(block, 1)].swapaxes(1, 2)[..., None]
             x *= e
-            coef_scale = coef * scale
-            gq_b = np.matmul(x, ks[block], out=gqs[block])
-            gq_b *= coef_scale
-            np.matmul(np.swapaxes(x, -1, -2), qs[block] * coef_scale, out=gks[block])
+            factor *= scale
+            np.matmul(x, ks[block], out=gqs[block])
+            gq_b = gq3[rows]
+            gq_b *= factor
+            np.matmul(np.swapaxes(x, -1, -2), split(q3[rows] * factor), out=gks[block])
         q._accumulate(gq)
         k._accumulate(gk)
         v._accumulate(gv)
@@ -751,11 +791,18 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
 def _expand(x: np.ndarray, centers: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
     """Write the ``[..., D, K]`` features ``exp(scale * (x - c)^2)`` into ``out``.
 
-    A far-off x squares to inf and its feature to ``exp(-inf) = 0``, which
-    is no error, so overflow is not reported.
+    ``x - c`` is the GEMM ``[x, 1] @ [1; -c]``: each entry is
+    ``x * 1 + 1 * (-c)``, both products exact, so it rounds once, as the
+    subtraction does, and the features are those of ``x[..., None] - c``
+    bit for bit. Square, scale and ``exp`` are flat passes in place. A
+    far-off x squares to inf and its feature to ``exp(-inf) = 0``, which is
+    no error, so overflow is not reported.
     """
+    xa = np.ones((2, x.size), out.dtype)  # [x, 1], stored transposed
+    xa[0] = x.reshape(-1)
     with np.errstate(over="ignore"):
-        np.subtract(x[..., None], centers, out=out)
+        np.matmul(xa.T, np.stack([np.ones_like(centers), -centers]),
+                  out=out.reshape(-1, centers.size))
         out *= out
         out *= scale
         return np.exp(out, out=out)
@@ -794,7 +841,11 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     square / mean / add / sqrt / div / mul / add composition it replaces, so
     both give the same output bit for bit. Backward keeps the normalized
     input ``n`` and ``s``, and with ``gn = g * gamma`` uses
-    ``gx = (gn - mean(gn) - n * mean(gn * n)) / s``.
+    ``gx = (t - mean(t)) / s`` with ``t = gn - n * mean(gn * n)``. That is
+    ``(gn - mean(gn) - n * mean(gn * n)) / s`` when ``mean(n) = 0``; taking
+    the mean last keeps the gradient as accurate as the composition's on rows
+    whose centering cancelled most digits, where the rounded n has a mean
+    about ``u * |x| / s`` (u the unit roundoff) away from 0.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     dim = x.shape[-1]
@@ -816,10 +867,11 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
         g_normed = g * normed
         gamma._accumulate(g_normed.reshape(-1, dim).sum(axis=0))
         beta._accumulate(g.reshape(-1, dim).sum(axis=0))
-        # mean(gn) and mean(gn * n) as matrix-vector products with gamma
+        # The row means as matrix-vector products. mean(t) comes off last, as
+        # in the composition: where centering lost digits, mean(n) is not 0.
         gx = g * gamma.data
-        gx -= (np.matmul(g, gamma.data) / dim)[..., None]
         gx -= normed * (np.matmul(g_normed, gamma.data) / dim)[..., None]
+        gx -= (np.matmul(gx, np.ones(dim, gx.dtype)) / dim)[..., None]
         gx /= s
         x._accumulate(gx)
 
@@ -838,8 +890,10 @@ def kan(x, centers: np.ndarray, bandwidth: float, w) -> Tensor:
     F. Backward works through the same blocks: ``gF = (g @ w^T) * F``,
     ``gw`` is the sum of the blocks' ``F^T @ g``, and
     ``gx = 2 * scale * (x * sum_k gF - gF @ centers)`` with
-    ``scale = -1 / (2 h^2)``, three passes over the features. Summing ``gw``
-    per block reorders its sums, so the op matches the composition within
+    ``scale = -1 / (2 h^2)``, three passes over the features; ``[sum_k gF,
+    gF @ centers]`` is one GEMM against ``[1 | c]``, so no reduction runs
+    along the K-wide centre axis. Summing ``gw`` per block and the K terms
+    in BLAS's order reorders sums, so the op matches the composition within
     about 1e-12 relative rather than bit for bit.
     """
     x, w = as_tensor(x), as_tensor(w)
@@ -867,16 +921,18 @@ def kan(x, centers: np.ndarray, bandwidth: float, w) -> Tensor:
         gs = g.reshape(-1, g.shape[-1])
         gx, gw = np.empty_like(xs), np.zeros_like(w.data)
         buf = np.empty((min(rows, count), width), dtype)  # the feature gradient gF
+        sbuf = np.empty((min(rows, count) * dim, 2), dtype)
+        ones_centers = np.stack([np.ones_like(centers), centers], axis=1)
         for lo in starts:
             block, n = slice(lo, lo + rows), min(rows, count - lo)
             f, g_b = feats[block].reshape(n, width), gs[block]
             gw += f.T @ g_b
             gf = np.matmul(g_b, w.data.T, out=buf[:n])
             gf *= f
-            gf = gf.reshape(n, dim, num_centers)
-            gx_b = np.sum(gf, axis=-1, out=gx[block])
-            gx_b *= xs[block]
-            gx_b -= gf @ centers
+            # [sum_k gF, gF @ centers] as one GEMM against [1 | c].
+            sums = np.matmul(gf.reshape(n * dim, num_centers), ones_centers, out=sbuf[:n * dim])
+            gx_b = np.multiply(sums[:, 0].reshape(n, dim), xs[block], out=gx[block])
+            gx_b -= sums[:, 1].reshape(n, dim)
             gx_b *= 2.0 * scale
         x._accumulate(gx.reshape(x.shape))
         w._accumulate(gw)

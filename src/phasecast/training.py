@@ -60,6 +60,8 @@ class Adam:
 
     The parameters are packed into them in list order, and each parameter's
     ``data`` and ``grad`` become views: write ``p.grad[...] = x``, not ``p.grad = x``.
+    A step works in two preallocated flat buffers with ``out=`` arithmetic,
+    in the order of the textbook formula, so it allocates nothing buffer-sized.
     """
 
     def __init__(self, params, lr: float = 0.003, beta1: float = 0.9,
@@ -78,6 +80,7 @@ class Adam:
             lo += p.size
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
+        self._work = np.empty((2,) + self.data.shape, self.data.dtype)
 
     def step(self) -> None:
         # The whole gradient is scanned before any update, so a non-finite one
@@ -91,11 +94,23 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        a, b = self._work
+        # m = beta1 * m + (1 - beta1) * g
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
+        self.m += np.multiply(g, 1.0 - self.beta1, out=a)
+        # v = beta2 * v + (1 - beta2) * g^2
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (g * g)
-        self.data -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - self.beta2
+        self.v += a
+        # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(self.m, bc1, out=a)
+        a *= self.lr
+        np.divide(self.v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self.data -= a
         g.fill(0)
 
 

@@ -367,22 +367,29 @@ class TestConfigKeys:
 
 
 class TestReportFormat:
-    def test_both_values_write_the_same_files(self, tmp_path, tiny_config):
-        # report_format is validated and kept, but every run writes both files.
+    def test_retired_default_still_loads(self, tmp_path, tiny_config):
+        # report_format is retired: every run writes both files, and the old
+        # default "json" still loads so configs that carry it keep working.
         _, config = tiny_config
-        outputs = {}
-        for fmt in ("json", "csv-table"):
-            config["report_format"] = fmt
-            path = tmp_path / f"{fmt}.json"
-            path.write_text(json.dumps(config))
-            out = tmp_path / f"out-{fmt}"
-            assert main(["train", "--config", str(path), "--out", str(out)]) == 0
-            outputs[fmt] = out
-        names = {fmt: sorted(p.name for p in out.iterdir()) for fmt, out in outputs.items()}
-        assert names["json"] == names["csv-table"]
-        assert {"report.json", "table.csv"} <= set(names["json"])
-        assert (outputs["json"] / "table.csv").read_bytes() == \
-            (outputs["csv-table"] / "table.csv").read_bytes()
+        config["report_format"] = "json"
+        path = tmp_path / "json.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out-json"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        assert {"report.json", "table.csv"} <= {p.name for p in out.iterdir()}
+        assert "report_format" not in read_report(out)["config"]
+
+    @pytest.mark.parametrize("value", ["csv-table", "JSON", "", None, 1])
+    def test_any_other_value_rejected(self, tmp_path, tiny_config, value):
+        _, config = tiny_config
+        config["report_format"] = value
+        with pytest.raises(ConfigError, match="report_format"):
+            experiment.ExperimentConfig.from_dict(config)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        for command in ("train", "eval", "ablate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestMetricsScale:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasecast import tensor
@@ -298,6 +298,24 @@ class TestFusedAttention:
         for large, small in zip(*results):
             assert np.array_equal(large, small)
 
+    @pytest.mark.parametrize("shape", [(128, 7, 24), (32, 7, 96)])
+    def test_block_size_changes_no_bit_at_train_etth_shapes(self, monkeypatch, shape):
+        # The local and fusion attention of a train-etth step, heads merged
+        # in the last axis: one block of every matrix against one matrix per
+        # block, where the per-row factors are repeated over d one head at a time.
+        rng = np.random.default_rng(11)
+        q, k, v, upstream = (rng.standard_normal(shape) for _ in range(4))
+        results = []
+        for block_bytes in (tensor.ATTENTION_BLOCK_BYTES, 1):
+            monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", block_bytes)
+            params = [Parameter(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v"))]
+            out = attention(*params, 1.0 / np.sqrt(shape[-1] // 8), np.random.default_rng(12),
+                            0.9, heads=8)
+            (out * Tensor(upstream)).sum().backward()
+            results.append([out.data] + [p.grad for p in params])
+        for whole, single in zip(*results):
+            assert np.array_equal(whole, single)
+
     @pytest.mark.parametrize("block_bytes", [tensor.ATTENTION_BLOCK_BYTES, 1])
     def test_blockwise_draws_match_one_whole_draw(self, monkeypatch, block_bytes):
         # Zero scores give equal weights, and v = I makes the output the kept
@@ -522,6 +540,10 @@ class TestFusedLayers:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), lead=st.lists(st.integers(1, 4), max_size=3),
            dim=st.integers(1, 6), eps=st.floats(1e-6, 0.1), dtype=dtypes)
+    # Two float32 draws with rows whose spread is about 1e-4 of their mean,
+    # where the centering itself loses about four digits.
+    @example(seed=100000001, lead=[3, 3, 3], dim=3, eps=1e-06, dtype=np.float32)
+    @example(seed=24030359, lead=[2, 3, 4], dim=2, eps=1e-06, dtype=np.float32)
     def test_layer_norm_matches_composition(self, seed, lead, dim, eps, dtype):
         rng = np.random.default_rng(seed)
         shape = tuple(lead) + (dim,)
@@ -656,6 +678,51 @@ class TestFusedLayers:
         assert out.shape == (64, 321, 24)
         # One block of features and the output, which is x-sized here.
         assert peak < 2 * tensor.ATTENTION_BLOCK_BYTES + x.data.nbytes, peak
+
+
+def subtracted_features(x, centers, scale):
+    """``exp(scale * (x - c)^2)`` through ``np.subtract``, the form ``_expand``'s GEMM replaces."""
+    with np.errstate(over="ignore"):
+        out = np.subtract(x[..., None], centers)
+        out *= out
+        out *= scale
+        return np.exp(out, out=out)
+
+
+class TestRbfExpansion:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gemm_features_match_the_subtraction(self, dtype):
+        # A centre of 0, a signed zero, x on a centre, and values whose
+        # (x - c)^2 overflows to inf, so their features are exp(-inf) = 0.
+        rng = np.random.default_rng(14)
+        centers = np.array([-2.0, -0.5, 0.0, 1.0 / 3.0, 2.0], dtype)
+        huge = np.finfo(dtype).max / 4
+        x = np.concatenate([rng.standard_normal(38) * 3.0, [0.0, -0.0, 1.0 / 3.0, -2.0],
+                            [huge, -huge, 1e200 if dtype == np.float64 else 1e30]])
+        x = x.astype(dtype).reshape(3, 3, 5)
+        scale = dtype(-1.0 / (2.0 * 0.7 ** 2))
+        want = subtracted_features(x, centers, scale)
+        with np.errstate(over="raise", invalid="raise"):  # overflow happens, but is not reported
+            got = tensor._expand(x, centers, scale, np.empty(x.shape + centers.shape, dtype))
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert not got[-1, -1, -3:].any() and got[-1, -1, :2].all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_kan_features_match_over_several_blocks(self, monkeypatch, dtype):
+        # An identity W makes the kan output the features themselves; blocks
+        # of 3 rows spread the 35 rows over 12 of them.
+        rng = np.random.default_rng(15)
+        x = (rng.standard_normal((5, 7, 4)) * 2.0).astype(dtype)
+        centers = np.linspace(-2.0, 2.0, 8)
+        eye = np.eye(4 * 8, dtype=dtype)
+        monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", 3 * eye.nbytes // 32)
+        want = subtracted_features(x, centers.astype(dtype), dtype(-1.0 / (2.0 * 0.5 ** 2)))
+        taped = kan(Parameter(x, "x"), centers, 0.5, Parameter(eye, "w"))
+        with no_grad():
+            untaped = kan(Tensor(x), centers, 0.5, Tensor(eye))
+        for out in (taped, untaped):
+            assert out.data.dtype == dtype
+            assert np.array_equal(out.data, want.reshape(5, 7, 32))
 
 
 def copying_accumulate(self, g):

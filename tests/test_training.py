@@ -169,6 +169,37 @@ class TestAdam:
         assert not opt.grad.any()
         assert np.shares_memory(a.grad, opt.grad) and np.shares_memory(b.data, opt.data)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_steps_match_the_straight_line_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(21)
+        theta = Parameter(rng.standard_normal(50).astype(dtype), "theta")
+        opt = Adam([theta], lr=0.01)
+        data, m, v = theta.data.copy(), np.zeros_like(theta.data), np.zeros_like(theta.data)
+        for t in range(1, 4):
+            g = rng.standard_normal(50).astype(dtype)
+            opt.grad[...] = g
+            opt.step()
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            m = m * 0.9 + (1.0 - 0.9) * g
+            v = v * 0.999 + (1.0 - 0.999) * (g * g)
+            data = data - 0.01 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+            for got, want in ((theta.data, data), (opt.m, m), (opt.v, v)):
+                assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_step_allocates_no_buffer_sized_temporary(self):
+        theta = Parameter(np.random.default_rng(22).standard_normal(100_000), "theta")
+        opt = Adam([theta])
+        opt.grad[...] = 1.0
+        opt.step()  # a first step outside the trace, so nothing is first-use
+        opt.grad[...] = -0.5
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < opt.data.nbytes / 2, peak
+
 
 class TestClipGradients:
     def test_gradient_above_the_norm_is_scaled_to_it(self):

@@ -109,10 +109,11 @@ def load_csv(spec: DatasetSpec) -> Dataset:
         else:
             keep = list(range(len(header) - 1))
 
-        table = _read_table(fh, len(header))
+        usecols = None if spec.columns is None else [0] + [1 + j for j in keep]
+        table = _read_table(fh, len(header), usecols)
         if table is not None:
             timestamps, cells = table
-            values = cells.take([1 + j for j in keep], axis=1)
+            values = np.ascontiguousarray(cells[:, 1:])
         else:
             fh.seek(0)
             next(reader)  # back to the first data row
@@ -132,15 +133,19 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     return Dataset(names=names, timestamps=timestamps, values=values)
 
 
-def _read_table(fh, width: int):
-    """(timestamps, [rows, width] float64 cells) read by numpy's C reader, or None.
+def _read_table(fh, width: int, usecols=None):
+    """(timestamps, float64 cells) read by numpy's C reader, or None.
 
-    Column 0 of the cells is a placeholder; its text is in the timestamps.
-    None means the reader refused the rest of ``fh`` or would read it
-    differently from ``_read_rows``: it skips blank lines, drops a file with
-    no data rows and has no cell length limit, so a row count short of the
-    line count, a width other than the header's, an empty body, or a cell the
-    csv module would reject as too long is refused too.
+    The cells are ``[rows, width]``, or with ``usecols`` only those columns
+    in that order. Column 0 of the cells is a placeholder; its text is in the
+    timestamps. None means the reader refused the rest of ``fh`` or would
+    read it differently from ``_read_rows``: it skips blank lines, drops a
+    file with no data rows and has no cell length limit, so a row count
+    short of the line count, a width other than the header's, an empty body,
+    or a cell the csv module would reject as too long is refused too. With
+    ``usecols`` the reader no longer sees a row's width, so a line is
+    refused unless it holds ``width - 1`` commas and no quote (a quoted cell
+    may hold commas).
     """
     lines = 0
     timestamps = []
@@ -152,6 +157,8 @@ def _read_table(fh, width: int):
             lines += 1
             if len(line) > limit and max(map(len, line.split(","))) > limit:
                 raise ValueError("a cell is longer than the csv field limit")
+            if usecols is not None and ('"' in line or line.count(",") != width - 1):
+                raise ValueError("a row's width cannot be checked")
             yield line
 
     def stamp(cell):
@@ -164,10 +171,10 @@ def _read_table(fh, width: int):
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt's "no data" warning
             cells = np.loadtxt(counted(), dtype=np.float64, delimiter=",", comments=None,
-                               quotechar='"', converters={0: stamp}, ndmin=2)
+                               quotechar='"', converters={0: stamp}, usecols=usecols, ndmin=2)
     except (ValueError, UserWarning):
         return None
-    if cells.shape != (lines, width):
+    if cells.shape != (lines, width if usecols is None else len(usecols)):
         return None
     return timestamps, cells
 

@@ -29,6 +29,7 @@ them (``p.grad[...] = x``), never ``p.grad = x``.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 
 import numpy as np
@@ -50,7 +51,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -549,8 +550,8 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     ``rng``, ``keep_prob`` is ignored.
 
     A block's weights fill about ``ATTENTION_BLOCK_BYTES`` (1 MiB, at least
-    one matrix; untaped, the augmented operands below take at most a quarter
-    of it), so the passes over a block's ``[Sq, Skv]`` arrays re-read the
+    one matrix; untaped, one matrix's augmented operands below take at most a
+    quarter of its share), so the passes over a block's ``[Sq, Skv]`` arrays re-read the
     core's L2 cache. A block is whole leading indices with all their heads
     when one index's heads fit, and otherwise some heads of one index. No
     ``[Sq, Skv]`` array is scaled or normalized: a block leaves its exp
@@ -567,17 +568,23 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     GEMM as the passes over a block's ``[Sq, Skv]`` arrays, plus the sum, the
     mask and its multiply with dropout; the multiply masks E in place, after
     the sum, so no second ``[Sq, Skv]`` buffer is made. The augmented
-    operands are built per block in reused buffers, q's as one flat
-    ``q * scale`` over the block's rows and a copy.
+    operands are built per leading index, for all of its heads, in reused
+    ``[rows, heads, S, d + 1]`` buffers (q's as one flat ``q * scale`` over
+    the index's rows and a copy), and every block's GEMMs read their heads
+    from them. At small N a block holds whole indices, so that is once per
+    block; at N = 321, where a block is one matrix, it is once per index
+    instead of once per head.
 
     The heads make the ``[..., d]`` axis tiny (d = 3 at L = 96 with four
     offsets and 8 heads), and numpy runs a broadcast over such an axis as one
     inner loop per row, so the per-row work is done on the ``[..., Sq,
     heads * d]`` layout instead. coef is one ``[count, Sq, heads]`` array.
-    With dropout the output rows are scaled by one flat multiply against
-    the block's factors repeated d times (``np.repeat``), made per block so
-    no batch-sized array is added; without dropout, where the output comes
-    out of ``[E @ v, rowsum(E)]``, one strided multiply scales it on the way.
+    With dropout the output rows are scaled, once an index's last head is
+    written, by one flat multiply against the index's factors repeated d
+    times (``np.repeat``), made per index so no batch-sized array is added;
+    without dropout, ``[E @ v, rowsum(E)]`` is kept per index too, and once
+    the index's last head is written one multiply, walking the output in
+    its own order, scales every head's rows into it.
 
     A matrix takes the exact path instead (score GEMM, a scan for
     non-finite scores whose error names ``attention``, then the row max as
@@ -587,7 +594,10 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     normal, where the bound overshot the row's scores and E underflowed (a
     gap of about 354 in float64 and 44 in float32, so only float32 plausibly
     meets it). A matrix is redone before its block's dropout draw, so the
-    stream is read the same.
+    stream is read the same. The guard costs one pre-check per block, an
+    ``any`` over its shift flags and a ``min`` over its row sums, and only
+    when that fires does ``argwhere`` find the matrices; a NaN sum fails
+    both comparisons alike, so the matrices found are the same.
     Every matrix is computed on its own, so neither the block size nor the
     head layout changes a value, and taped and untaped calls run the same
     arithmetic, E in place in one reused buffer. A taped call keeps no
@@ -599,7 +609,8 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     call, as one flat ``dO * O`` and one GEMV over d. Its multiplies by coef
     (of dO before the value-gradient GEMM, of q before the key-gradient GEMM
     and of the query gradient) are flat passes against the repeated factors,
-    as in forward.
+    made per leading index as in forward, with ``v^T``; the query gradient
+    is scaled once the index's last head is written.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or q.shape[-1] != k.shape[-1] or k.shape != v.shape \
@@ -609,7 +620,7 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     if q.shape[:-2] != k.shape[:-2]:
         raise ShapeError(f"attention batch dimensions differ: {q.shape} vs {k.shape}")
     sq, skv, d = q.shape[-2], k.shape[-2], q.shape[-1] // heads
-    count = int(np.prod(q.shape[:-2]))
+    count = math.prod(q.shape[:-2])
     dtype = q.data.dtype
     if rng is None:
         keep_prob, inv_keep = 1.0, 1.0
@@ -626,14 +637,9 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     def split(a):  # [n, S, nh * d] -> [n, nh, S, d], a view when a is C-ordered
         return a.reshape(a.shape[0], a.shape[1], a.shape[2] // d, d).swapaxes(1, 2)
 
-    def rows_of(block, width=d):
-        """The block's part of a ``[count, S, heads * width]`` array: ``[nb, S, nh * width]``."""
-        i, h = block
-        return i, slice(None), slice(h.start * width, h.stop * width)
-
-    def repeat(factor, block):
-        """The block's ``[count, S, heads]`` factors repeated d times, shaped like ``rows_of``."""
-        return np.repeat(factor[rows_of(block, 1)], d, axis=-1)
+    def flat_factors(i):
+        """The ``[n, S, heads]`` factors of index rows i repeated d times: ``[n, S, heads * d]``."""
+        return np.repeat(coef[i], d, axis=-1)
 
     q3, k3, v3 = (t.data.reshape(count, t.shape[-2], heads * d) for t in (q, k, v))
     qs, ks, vs = split(q3), split(k3), split(v3)
@@ -648,90 +654,113 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     unsafe = ~(neg_shift > -max_shift).all(axis=-1)
     taped = _GRAD_MODE.enabled and any(t.requires_grad for t in (q, k, v))
     # E fills the block. Untaped, at small N the thin augmented operands
-    # below would outweigh it, so they take at most a quarter of the block;
-    # taped, the masks and per-row factors kept from every block, the output
-    # and the gradients that backward makes outweigh them anyway.
+    # below would outweigh it, so one matrix's take at most a quarter of its
+    # share; taped, the masks and per-row factors kept from every block, the
+    # output and the gradients that backward makes outweigh them anyway.
+    # Staged for all heads of an index, they outgrow that share only where a
+    # block holds some heads of one index (about 1 MB at N = 321, d = 12).
     matrix_bytes = sq * skv * dtype.itemsize
     if not taped:
         aug_bytes = (2 if rng is None else 1) * (sq + skv) * (d + 1) * dtype.itemsize
         matrix_bytes = max(matrix_bytes, 4 * aug_bytes)
     per_block = max(1, ATTENTION_BLOCK_BYTES // max(1, matrix_bytes))
     # Whole leading indices with all their heads, or some heads of one index.
+    # Each block is (index rows, heads, its matrices' shape [nb, nh], whether
+    # it is its index's first block, whether it is the last); slicing clamps
+    # h + cols to heads, so the last block may hold fewer heads.
     rows, cols = max(1, min(count, per_block // heads)), min(heads, per_block)
-    blocks = [(slice(i, i + rows), slice(h, h + cols))
+    blocks = [(slice(i, i + rows), slice(h, h + cols),
+               (min(rows, count - i), min(cols, heads - h)), h == 0, h + cols >= heads)
               for i in range(0, count, rows) for h in range(0, heads, cols)]
     shape = (rows, cols, sq, skv)
+    staged = (rows, heads)  # an index's operands are staged for all its heads
 
     # Forward and backward build a block's E with these three, so the
     # rebuilt E has the forward's bits. Each pass makes its own buffers, so
     # a taped call keeps none of them.
     def exp_buffers():
-        """Block buffers for ``scores``, ``[q * scale, -m]`` and ``[k, 1]^T``."""
+        """Buffers for a block's ``scores`` and an index's ``[q * scale, -m]`` and ``[k, 1]^T``."""
         # The score GEMM writes a reused, cache-warm buffer, and exp runs
         # there in place: into fresh memory the GEMM runs about twice as slow
         # at N = 321. The ones are written once. k is stored transposed
         # because a GEMM against a transposed view is up to 3x slower at small N.
-        return (np.empty(shape, dtype), np.empty(shape[:3] + (d + 1,), dtype),
-                np.ones(shape[:2] + (d + 1, skv), dtype))
+        return (np.empty(shape, dtype), np.empty(staged + (sq, d + 1), dtype),
+                np.ones(staged + (d + 1, skv), dtype))
 
     def block_exp(block, scores, qa, kt):
-        """The block's ``E = exp(s - m)``, in place in ``scores``."""
-        nb, nh = unsafe[block].shape
-        qa_b, kt_b, e = qa[:nb, :nh], kt[:nb, :nh], scores[:nb, :nh]
-        qa_b[..., :d] = split(q3[rows_of(block)] * scale)  # flat multiply, then a copy
-        qa_b[..., d] = neg_shift[block]
-        kt_b[..., :d, :] = np.swapaxes(ks[block], -1, -2)
-        return np.exp(np.matmul(qa_b, kt_b, out=e), out=e)
+        """The block's ``E = exp(s - m)``, in place in ``scores``.
 
-    def exact_exp(e, pairs, qa, kt):
-        """Redo the ``(index, head)`` matrices of ``block_exp``'s E on the exact path."""
+        An index's first block stages its operands for every head, and
+        each block's GEMM reads its heads from them.
+        """
+        i, h, (nb, nh), first, _ = block
+        if first:
+            qa[:nb, ..., :d] = split(q3[i] * scale)  # flat multiply, then a copy
+            qa[:nb, ..., d] = neg_shift[i]
+            kt[:nb, :, :d] = np.swapaxes(ks[i], -1, -2)
+        e = scores[:nb, :nh]
+        return np.exp(np.matmul(qa[:nb, h], kt[:nb, h], out=e), out=e)
+
+    def exact_exp(e, pairs, h0, qa, kt):
+        """Redo the ``(index, head)`` matrices of ``block_exp``'s E on the exact path.
+
+        The pairs count heads from the block's first head h0, the staged
+        operands from head 0.
+        """
         for i, j in pairs:
-            e_i = np.matmul(qa[i, j, :, :d], kt[i, j, :d], out=e[i, j])
+            e_i = np.matmul(qa[i, h0 + j, :, :d], kt[i, h0 + j, :d], out=e[i, j])
             _ensure_finite(e_i, "attention")
             e_i -= e_i.max(axis=-1, keepdims=True)
             np.exp(e_i, out=e_i)
 
     scores, qa, kt = exp_buffers()
-    # Without dropout also [v, 1] and [E @ v, rowsum(E)].
+    # Without dropout also an index's [v, 1] and [E @ v, rowsum(E)].
     if rng is None:
-        va, oa = np.ones(shape[:2] + (skv, d + 1), dtype), np.empty_like(qa)
+        va, oa = np.ones(staged + (skv, d + 1), dtype), np.empty(staged + (sq, d + 1), dtype)
     else:
         reused_mask = None if taped else np.empty(shape, bool)
 
     out = np.empty(q.shape, dtype)
     out3 = out.reshape(q3.shape)
     outs = split(out3)
-    coef = np.empty((count, sq, heads), dtype)  # (1 / keep_prob) / rowsum(E) per row and head
+    # (1 / keep_prob) / rowsum(E) per row and head, for the dropout path and backward
+    coef = np.empty((count, sq, heads), dtype) if taped or rng is not None else None
     kept = []  # (mask, exact-path pairs) per block, for backward
     # Only matrices the guard sends down the exact path can overflow here.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in blocks:
+            i, h, (nb, nh), first, last = block
             e = block_exp(block, scores, qa, kt)
-            nb, nh = e.shape[:2]
             if rng is None:
-                va_b, oa_b = va[:nb, :nh], oa[:nb, :nh]
-                va_b[..., :d] = vs[block]
+                if first:
+                    va[:nb, ..., :d] = vs[i]
+                va_b, oa_b = va[:nb, h], oa[:nb, h]
                 sums = np.matmul(e, va_b, out=oa_b)[..., d:]
             else:
                 sums = e.sum(axis=-1, keepdims=True)
             # The guard: redo these matrices on the exact path, shifted by
-            # their row maxima after a scan of the scores.
-            pairs = np.argwhere(unsafe[block] | (sums < min_sum).any(axis=(-2, -1)))
-            exact_exp(e, pairs, qa, kt)
-            for i, j in pairs:
+            # their row maxima after a scan of the scores. One reduction per
+            # block checks first; a NaN sum compares false in both forms, so
+            # they find the same matrices.
+            pairs = ()
+            if unsafe[i, h].any() or sums.min() < min_sum:
+                pairs = np.argwhere(unsafe[i, h] | (sums < min_sum).any(axis=(-2, -1)))
+                exact_exp(e, pairs, h.start, qa, kt)
+            for a, j in pairs:
                 if rng is None:
-                    np.matmul(e[i, j], va_b[i, j], out=oa_b[i, j])
+                    np.matmul(e[a, j], va_b[a, j], out=oa_b[a, j])
                 else:
-                    sums[i, j] = e[i, j].sum(axis=-1, keepdims=True)
-            coef_b = inv_keep / sums
-            if taped or rng is not None:  # the dropout path and backward read it flat
-                coef[rows_of(block, 1)] = coef_b[..., 0].swapaxes(1, 2)
+                    sums[a, j] = e[a, j].sum(axis=-1, keepdims=True)
             mask = None
             if rng is None:
-                # One strided pass: copying out of [E @ v, rowsum(E)] first
-                # and scaling flat would cost a pass more per block.
-                np.multiply(oa_b[..., :d], coef_b, out=outs[block])
+                if last:  # the index's rows, every head written, in the output's order
+                    oa_i = oa[:nb].swapaxes(1, 2)
+                    coef_i = inv_keep / oa_i[..., d:]
+                    np.multiply(oa_i[..., :d], coef_i, out=out3[i].reshape(nb, sq, heads, d))
+                    if coef is not None:
+                        coef[i] = coef_i[..., 0]
             else:
+                coef[i, :, h] = (inv_keep / sums)[..., 0].swapaxes(1, 2)
                 draws = rng.bit_generator.random_raw((nb * nh, words)).view(np.uint16)
                 draws = draws[:, :sq * skv].reshape(nb, nh, sq, skv)
                 # `<= threshold - 1`: a threshold of 2**16 does not fit in uint16.
@@ -741,9 +770,10 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
                 # the mask goes on in place. v, not [v, 1]: at head size 12 an
                 # unused sum column would cost a quarter of this GEMM.
                 e *= mask
-                np.matmul(e, vs[block], out=outs[block])
-                out_b = out3[rows_of(block)]
-                out_b *= repeat(coef, block)
+                np.matmul(e, vs[i, h], out=outs[i, h])
+                if last:  # one flat pass over the index's rows, every head written
+                    out_i = out3[i]
+                    out_i *= flat_factors(i)
             if taped:
                 kept.append((mask, pairs))
 
@@ -760,27 +790,31 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
         dsum *= keep_prob
         scores, qa, kt = exp_buffers()
         buf = np.empty(shape, dtype)  # E * mask, then the score gradient
-        # v^T per block: a GEMM against a transposed view is slower.
-        vt = np.empty(shape[:2] + (d, skv), dtype)
+        # v^T per index: a GEMM against a transposed view is slower.
+        vt = np.empty(staged + (d, skv), dtype)
         for block, (mask, pairs) in zip(blocks, kept):
+            i, h, (nb, nh), first, last = block
             with np.errstate(over="ignore", invalid="ignore"):
                 e = block_exp(block, scores, qa, kt)
-                exact_exp(e, pairs, qa, kt)
-            nb, nh = e.shape[:2]
-            rows, factor = rows_of(block), repeat(coef, block)
+                exact_exp(e, pairs, h.start, qa, kt)
+            if first:  # dO * coef, q * coef * scale and v^T for the index's heads
+                factor = flat_factors(i)
+                g_coef = split(g3[i] * factor)
+                factor *= scale
+                q_coef = split(q3[i] * factor)
+                vt[:nb] = np.swapaxes(vs[i], -1, -2)
             e_kept = e if mask is None else np.multiply(e, mask, out=buf[:nb, :nh])
-            np.matmul(np.swapaxes(e_kept, -1, -2), split(g3[rows] * factor), out=gvs[block])
-            vt[:nb, :nh] = np.swapaxes(vs[block], -1, -2)
-            x = np.matmul(gs[block], vt[:nb, :nh], out=buf[:nb, :nh])
+            np.matmul(np.swapaxes(e_kept, -1, -2), g_coef[:, h], out=gvs[i, h])
+            x = np.matmul(gs[i, h], vt[:nb, h], out=buf[:nb, :nh])
             if mask is not None:
                 x *= mask
-            x -= dsum[rows_of(block, 1)].swapaxes(1, 2)[..., None]
+            x -= dsum[i, :, h].swapaxes(1, 2)[..., None]
             x *= e
-            factor *= scale
-            np.matmul(x, ks[block], out=gqs[block])
-            gq_b = gq3[rows]
-            gq_b *= factor
-            np.matmul(np.swapaxes(x, -1, -2), split(q3[rows] * factor), out=gks[block])
+            np.matmul(x, ks[i, h], out=gqs[i, h])
+            np.matmul(np.swapaxes(x, -1, -2), q_coef[:, h], out=gks[i, h])
+            if last:  # one flat pass over the index's rows, every head written
+                gq_i = gq3[i]
+                gq_i *= factor
         q._accumulate(gq)
         k._accumulate(gk)
         v._accumulate(gv)

@@ -69,6 +69,19 @@ class TestAccepted:
             values = load(path, columns=columns).values
             assert values.dtype == np.float64 and values.flags.c_contiguous
 
+    def test_column_subset_of_a_wide_file_matches_the_row_loop(self, tmp_path, monkeypatch):
+        values = np.random.default_rng(6).standard_normal((40, 50))
+        path = tmp_path / "wide.csv"
+        with open(path, "w") as fh:
+            fh.write("timestamp," + ",".join(f"v{j}" for j in range(50)) + "\n")
+            for i, row in enumerate(values):
+                fh.write(f"{i}," + ",".join(repr(float(x)) for x in row) + "\n")
+        spec = DatasetSpec(path=str(path), columns=["v31", "v2", "v31", "v49"])
+        expected = _row_loop_only(spec)
+        monkeypatch.setattr(data, "_read_rows", None)  # the C reader must take it
+        assert _outcome(spec) == expected
+        np.testing.assert_array_equal(load_csv(spec).values, values[:, [31, 2, 31, 49]])
+
 
 class TestRejected:
     def test_nan_or_inf_cell_rejected_as_non_finite(self, tmp_path):
@@ -86,6 +99,15 @@ class TestRejected:
         path = write_lines(tmp_path / "ragged.csv", ["timestamp,a,b", "0,1.0,2.0", "1,3.0,4.0,5.0"])
         with pytest.raises(DataError, match=r"ragged\.csv:3 has 4 cells, expected 3"):
             load(path)
+
+    @pytest.mark.parametrize("row, cells", [("1,3.0,4.0,5.0,6.0", 5), ("1,3.0,4.0", 3)],
+                             ids=["wider", "narrower"])
+    def test_ragged_row_with_a_column_subset(self, tmp_path, row, cells):
+        # The C reader reads only the kept columns, so it cannot see a row's
+        # width; the row loop must still name the line.
+        path = write_lines(tmp_path / "ragged.csv", ["timestamp,a,b,c", "0,1.0,2.0,3.0", row])
+        with pytest.raises(DataError, match=rf"ragged\.csv:3 has {cells} cells, expected 4"):
+            load(path, columns=["a"])
 
     def test_every_row_wider_than_the_header(self, tmp_path):
         path = write_lines(tmp_path / "wide.csv", ["timestamp,a", "0,1.0,2.0", "1,3.0,4.0"])

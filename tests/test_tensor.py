@@ -478,6 +478,88 @@ class TestFusedAttention:
         for merged, split_copies in zip(*results):
             assert np.array_equal(merged, split_copies)
 
+    @staticmethod
+    def offset_exact_inputs(case):
+        """Three indices of four heads in which only index 1, head 2 takes the exact path.
+
+        In that matrix q's rows are ``[a, 0]`` and most keys ``[b, 0]``, with
+        a in [0.5, 1) and |b| < 1. ``"gap"``: key 0 is ``[0, 801]``, orthogonal
+        to every query, so each shift overshoots its row's largest score by
+        400 to 800 and E underflows, as in ``gap_inputs``. ``"overflow"``: q's
+        rows are scaled by 1e200, the other keys by 1e-200 and every second
+        key is ``[0, 1e200]``, so the scores stay finite and the shift
+        overflows. One ``[50, 120]`` matrix takes 48000 bytes, so the budgets
+        of ``test_heads_match_contiguous_head_split_copies`` give blocks of one
+        head, of two heads and of every matrix. Arrays are ``[B, H, S, d]``.
+        """
+        rng = np.random.default_rng(19)
+        sq, skv = 50, 120
+        q, k, v = (rng.standard_normal((3, 4, n, 2)) for n in (sq, skv, skv))
+        upstream = rng.standard_normal(q.shape)
+        a, b = rng.uniform(0.5, 1.0, sq), rng.uniform(-1.0, 1.0, skv)
+        big = 1e200 if case == "overflow" else 1.0
+        q[1, 2] = np.stack([a * big, np.zeros(sq)], axis=-1)
+        k[1, 2] = np.stack([b / big, np.zeros(skv)], axis=-1)
+        if case == "gap":
+            k[1, 2, 0] = [0.0, 801.0]
+        else:
+            k[1, 2, ::2] = [0.0, big]
+        return q, k, v, upstream
+
+    @pytest.mark.parametrize("mode", ["taped", "dropout", "untaped"])
+    @pytest.mark.parametrize("case", ["gap", "overflow"])
+    def test_exact_path_reads_its_own_head_at_any_block_size(self, monkeypatch, case, mode):
+        # A block of one or two heads starts at head 2 or at head 2's pair,
+        # so the exact path must read the staged operands at the block's
+        # head offset.
+        q, k, v, upstream = self.offset_exact_inputs(case)
+        batch, heads, _, d = q.shape
+        keep_prob = 0.8 if mode == "dropout" else 1.0
+
+        def merge(a):  # [B, H, S, d] -> [B, S, H * d]
+            return np.ascontiguousarray(a.transpose(0, 2, 1, 3).reshape(batch, -1, heads * d))
+
+        def split(a):  # [B, S, H * d] -> [B, H, S, d]
+            return a.reshape(batch, -1, heads, d).transpose(0, 2, 1, 3)
+
+        def run(op, arrays, up, *op_heads):
+            drop_rng = dropout_rng(19, mode == "dropout")
+            params = [Parameter(a, n) for a, n in zip(arrays, "qkv")]
+            with no_grad() if mode == "untaped" else contextlib.nullcontext():
+                out = op(*params, 1.0, drop_rng, keep_prob, *op_heads)
+            if mode != "untaped":
+                (out * Tensor(up)).sum().backward()
+            grads = [p.grad for p in params] if mode != "untaped" else []
+            next_word = drop_rng.bit_generator.random_raw() if drop_rng is not None else None
+            return [out.data] + grads, next_word
+
+        composed, composed_word = run(composed_attention, (q, k, v), upstream)
+        exact_checks = []
+
+        def counting_ensure_finite(arr, op):
+            exact_checks.append(op)
+            return ensure_finite(arr, op)
+
+        ensure_finite = tensor._ensure_finite
+        monkeypatch.setattr(tensor, "_ensure_finite", counting_ensure_finite)
+        results = []
+        for block_bytes in (4 * 24000 - 1, 4 * 24000, 2**20):
+            monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", block_bytes)
+            exact_checks.clear()
+            fused, word = run(attention, [merge(a) for a in (q, k, v)], merge(upstream), heads)
+            # One exact-path score scan in forward (and one in backward's
+            # rebuild), besides the scan of the output.
+            assert exact_checks.count("attention") == (2 if mode == "untaped" else 3)
+            assert word == composed_word
+            fused = [split(a) for a in fused]
+            for got, want in zip(fused, composed):
+                col_scale = np.maximum(1.0, np.abs(want).max(axis=-2, keepdims=True))
+                assert np.all(np.abs(got - want) <= 1e-12 * col_scale)
+            results.append(fused)
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.array_equal(a, b)
+
     def test_float32_with_dropout_tracks_float64(self):
         q, k, v, upstream = attention_inputs(4, 2, 3, 6, 5, 4)
         results = []

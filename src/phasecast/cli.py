@@ -69,12 +69,8 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _out_dir(args, config: ExperimentConfig | None = None) -> str:
-    if args.out is not None:
-        return args.out
-    if config is not None:
-        return config.output_dir
-    return "runs/latest"
+def _out_dir(args, config: ExperimentConfig) -> str:
+    return args.out if args.out is not None else config.output_dir
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,7 @@ class DatasetSpec:
     split_ratio: str = "6:2:2"
     lookback: int = 96
     horizon: int = 96
-    columns: list | None = None        # subset of variate columns, None = all
+    columns: list[str] | None = None   # subset of variate columns, None = all
     forward_fill: bool = False         # fill missing cells from the previous row
     sort_on_disorder: bool = False     # stable-sort rows if timestamps regress
 

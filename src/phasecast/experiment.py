@@ -1,25 +1,27 @@
 """Config-driven experiment runner behind the CLI.
 
-A run is described by a single JSON file. Unknown keys are rejected at
-every nesting level so a typo'd hyperparameter can never silently fall
-back to a default. Each run writes ``report.json`` (canonical, embeds the
-resolved config snapshot) plus ``table.csv`` with one flat metrics row
-per horizon or variant.
+A run is described by a single JSON file. Each section is checked against
+its dataclass (``errors.check_section``): an unknown key or a value of the
+wrong JSON type is a ``ConfigError``, so a typo'd hyperparameter can never
+silently fall back to a default or run with a coerced value. Each run
+writes ``report.json`` (canonical, embeds the resolved config snapshot)
+plus ``table.csv`` with one flat metrics row per horizon or variant.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data import DatasetSpec, prepare_windows
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_section
 from .metrics import forecast_metrics, repeat_last, window_mean
 from .model import SAME_MODEL_AS, Forecaster, ModelConfig, VARIANTS
 from .training import TrainSchedule, grad_check_model, predict, train_model
@@ -29,97 +31,48 @@ OFFSET_SEMANTICS = (
 )
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in fields(cls)}
-
-
-# A config file sets every dataclass field except those the run fills in
-# itself: lookback, horizon and seed from the top level, N from the data.
-_DATASET_KEYS = _field_names(DatasetSpec) - {"lookback", "horizon"}
-# per_offset_kan is retired; ModelConfig.from_dict accepts only its old default.
-_MODEL_KEYS = (_field_names(ModelConfig) - {"num_variates", "lookback", "horizon", "seed"}) \
-    | {"per_offset_kan"}
-_TRAIN_KEYS = _field_names(TrainSchedule) - {"seed"}
-# report_format is retired; from_dict accepts only its old default.
-_TOP_KEYS = {
-    "dataset", "model", "train", "lookback", "horizons", "seed",
-    "metrics_scale", "output_dir", "report_format",
-}
-
-
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown} in {where}")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: ``bool`` subclasses ``int``, so ``true`` is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_key(raw: dict, key: str, default: int) -> int:
-    value = raw.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
-    return value
+# The fields the run fills in itself: lookback, horizon and seed from the top
+# level, N from the data. A config section sets every other field.
+_SPEC_FILLED = ("lookback", "horizon")
+_MODEL_FILLED = ("num_variates", "lookback", "horizon", "seed")
 
 
 @dataclass
 class ExperimentConfig:
-    dataset_path: str
-    split_ratio: str = "6:2:2"
-    columns: list | None = None
-    forward_fill: bool = False
-    sort_on_disorder: bool = False
+    dataset: dict
+    model: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
     lookback: int = 96
-    horizons: list = field(default_factory=lambda: [96, 192, 336, 720])
+    horizons: list[int] = field(default_factory=lambda: [96, 192, 336, 720])
     seed: int = 2024
     metrics_scale: str = "standardized"
     output_dir: str = "runs/latest"
-    model: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "the top level")
-        dataset = raw.get("dataset")
-        if not isinstance(dataset, dict) or "path" not in dataset:
-            raise ConfigError("config needs a 'dataset' object with a 'path'")
-        _reject_unknown(dataset, _DATASET_KEYS, "'dataset'")
-        model = raw.get("model", {})
-        _reject_unknown(model, _MODEL_KEYS, "'model'")
-        train = raw.get("train", {})
-        _reject_unknown(train, _TRAIN_KEYS, "'train'")
-
-        horizons = raw.get("horizons", [96, 192, 336, 720])
-        if not isinstance(horizons, list) or not horizons or \
-                not all(_is_int(h) and h > 0 for h in horizons):
-            raise ConfigError(f"'horizons' must be a non-empty list of positive ints, got {horizons}")
-        metrics_scale = raw.get("metrics_scale", "standardized")
-        if metrics_scale not in ("standardized", "raw"):
-            raise ConfigError(f"metrics_scale must be 'standardized' or 'raw', got {metrics_scale!r}")
-        if raw.get("report_format", "json") != "json":
-            raise ConfigError(f"report_format is no longer supported (got "
-                              f"{raw['report_format']!r}): every run writes report.json and table.csv")
-
-        cfg = cls(
-            dataset_path=dataset["path"],
-            split_ratio=dataset.get("split_ratio", "6:2:2"),
-            columns=dataset.get("columns"),
-            forward_fill=bool(dataset.get("forward_fill", False)),
-            sort_on_disorder=bool(dataset.get("sort_on_disorder", False)),
-            lookback=_int_key(raw, "lookback", 96),
-            horizons=list(horizons),
-            seed=_int_key(raw, "seed", 2024),
-            metrics_scale=metrics_scale,
-            output_dir=raw.get("output_dir", "runs/latest"),
-            model=dict(model),
-            train=dict(train),
-        )
-        return cfg
+        raw = copy.deepcopy(raw)
+        # report_format is retired; only its old default still loads.
+        report_format = raw.pop("report_format", "json")
+        if report_format != "json":
+            raise ConfigError(f"report_format is no longer supported (got {report_format!r}): "
+                              f"every run writes report.json and table.csv")
+        check_section(cls, raw, "the top level")
+        check_section(DatasetSpec, raw["dataset"], "'dataset'", _SPEC_FILLED)
+        ModelConfig.check(raw.get("model", {}), "'model'", _MODEL_FILLED)
+        check_section(TrainSchedule, raw.get("train", {}), "'train'", ("seed",))
+        config = cls(**raw)
+        if not config.horizons or min(config.horizons) < 1:
+            raise ConfigError(f"'horizons' must be a non-empty list of positive ints, "
+                              f"got {config.horizons}")
+        if config.metrics_scale not in ("standardized", "raw"):
+            raise ConfigError(f"metrics_scale must be 'standardized' or 'raw', "
+                              f"got {config.metrics_scale!r}")
+        # The snapshot lists every dataset field, as set or by default.
+        config.dataset = {f.name: config.dataset.get(f.name, f.default)
+                          for f in fields(DatasetSpec) if f.name not in _SPEC_FILLED}
+        return config
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -133,64 +86,32 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": {
-                "path": str(self.dataset_path),
-                "split_ratio": self.split_ratio,
-                "columns": self.columns,
-                "forward_fill": self.forward_fill,
-                "sort_on_disorder": self.sort_on_disorder,
-            },
-            "model": dict(self.model),
-            "train": dict(self.train),
-            "lookback": self.lookback,
-            "horizons": list(self.horizons),
-            "seed": self.seed,
-            "metrics_scale": self.metrics_scale,
-            "output_dir": str(self.output_dir),
-        }
+        return asdict(self)
 
     def dataset_spec(self, horizon: int) -> DatasetSpec:
-        return DatasetSpec(
-            path=self.dataset_path,
-            split_ratio=self.split_ratio,
-            lookback=self.lookback,
-            horizon=horizon,
-            columns=self.columns,
-            forward_fill=self.forward_fill,
-            sort_on_disorder=self.sort_on_disorder,
-        )
+        return DatasetSpec(**self.dataset, lookback=self.lookback, horizon=horizon)
 
     def model_config(self, num_variates: int, horizon: int, variant: str | None = None) -> ModelConfig:
-        fields = dict(self.model, num_variates=num_variates, lookback=self.lookback,
-                      horizon=horizon, seed=self.seed)
+        section = dict(self.model, num_variates=num_variates, lookback=self.lookback,
+                       horizon=horizon, seed=self.seed)
         if variant is not None:
-            fields["variant"] = variant
-        try:
-            cfg = ModelConfig.from_dict(fields)
-        except TypeError as err:
-            raise ConfigError(f"bad model config: {err}") from None
-        cfg.validate()
-        return cfg
+            section["variant"] = variant
+        return ModelConfig.from_dict(section, "'model'")  # validated when a model is built
 
     def schedule(self) -> TrainSchedule:
-        try:
-            sched = TrainSchedule(seed=self.seed, **self.train)
-        except TypeError as err:
-            raise ConfigError(f"bad train config: {err}") from None
+        sched = TrainSchedule(seed=self.seed, **self.train)
         sched.validate()
         return sched
 
 
 def _report_skeleton(config: ExperimentConfig, mode: str) -> dict:
-    model_cfg = dict(config.model)
     return {
         "tool": {"name": "phasecast", "version": __version__},
         "mode": mode,
         "config": config.to_dict(),
         "seed": config.seed,
         "offset_split": {
-            "offsets": model_cfg.get("offsets", 4),
+            "offsets": config.model.get("offsets", ModelConfig.offsets),
             "semantics": OFFSET_SEMANTICS,
         },
         "metrics_scale": config.metrics_scale,
@@ -284,7 +205,7 @@ def run_eval(config: ExperimentConfig, out_dir, variant: str | None = None,
     for horizon in (horizons or config.horizons):
         prepared = prepare_windows(config.dataset_spec(horizon), prepared)
         raw_scaler = prepared.scaler if config.metrics_scale == "raw" else None
-        variant_tag = variant or config.model.get("variant", "full")
+        variant_tag = variant or config.model.get("variant", ModelConfig.variant)
         ckpt_path = out / _checkpoint_name(horizon, variant_tag)
         if not ckpt_path.exists():
             raise DataError(f"no checkpoint at {ckpt_path}; run the train subcommand first")

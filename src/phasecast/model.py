@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_section
 from .layers import Conv1dBlock, GaussianKanLayer, Linear, MlpBlock, Module, MultiHeadAttention
 from .offsets import merge_offsets, split_offsets
 from .revin import RevIN
@@ -63,7 +63,7 @@ class ModelConfig:
     offsets: int = 4
     num_heads: int = 8
     rbf_grid: int = 8
-    rbf_span: tuple = (-2.0, 2.0)
+    rbf_span: tuple[float, float] = (-2.0, 2.0)
     kan_prenorm: bool = True
     mlp_hidden: int | None = None
     conv_kernel: int = 3
@@ -91,6 +91,8 @@ class ModelConfig:
             )
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+        if self.num_heads < 1:
+            raise ConfigError(f"num_heads must be at least 1, got {self.num_heads}")
         if self.variant in _ATTENTION_VARIANTS:
             if self.sub_length % self.num_heads != 0:
                 raise ConfigError(
@@ -104,6 +106,14 @@ class ModelConfig:
                               f"rounds to zero in steps of 2**-16")
         if self.rbf_grid < 1:
             raise ConfigError(f"rbf_grid must be positive, got {self.rbf_grid}")
+        lo, hi = self.rbf_span
+        if not np.isfinite(self.rbf_span).all() or (self.rbf_grid > 1 and not hi > lo):
+            raise ConfigError(f"rbf_span must be finite, and increasing when rbf_grid > 1, "
+                              f"got {list(self.rbf_span)}")
+        if self.mlp_hidden is not None and self.mlp_hidden < 1:
+            raise ConfigError(f"mlp_hidden must be null or at least 1, got {self.mlp_hidden}")
+        if self.conv_kernel < 1:
+            raise ConfigError(f"conv_kernel must be at least 1, got {self.conv_kernel}")
         if self.depth < 1:
             raise ConfigError(f"depth must be at least 1, got {self.depth}")
         if self.precision not in ("float64", "float32"):
@@ -118,19 +128,25 @@ class ModelConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Build from a config or checkpoint dict; unknown keys raise TypeError."""
-        d = dict(d)
-        # Version 1 configs and checkpoints may carry per_offset_kan. One KAN
-        # is now shared by all offsets, so only the value false still loads.
-        if d.pop("per_offset_kan", False):
-            raise ConfigError("per_offset_kan is no longer supported: "
-                              "one KAN is shared by all offsets")
+    def from_dict(cls, d: dict, where: str = "the model config") -> "ModelConfig":
+        """Build from a config or checkpoint dict (see ``check``)."""
+        d = cls.check(d, where)
         if "rbf_span" in d:
             d["rbf_span"] = tuple(d["rbf_span"])
-        if "mlp_hidden" in d and d["mlp_hidden"] is not None:
-            d["mlp_hidden"] = int(d["mlp_hidden"])
         return cls(**d)
+
+    @classmethod
+    def check(cls, section, where: str, filled=()) -> dict:
+        """A copy of ``section`` without the retired per_offset_kan key, checked by ``check_section``."""
+        if isinstance(section, dict):
+            section = dict(section)
+            # Version 1 configs and checkpoints may carry per_offset_kan. One KAN
+            # is now shared by all offsets, so only the value false still loads.
+            if section.pop("per_offset_kan", False) is not False:
+                raise ConfigError(f"per_offset_kan in {where} is no longer supported: "
+                                  f"one KAN is shared by all offsets")
+        check_section(cls, section, where, filled)
+        return section
 
 
 class InteractionBlock(Module):
@@ -279,19 +295,27 @@ class Forecaster(Module):
 
     @classmethod
     def load_checkpoint(cls, path) -> "Forecaster":
+        """Read a checkpoint; one that is malformed is a ``ConfigError`` that names the file."""
         with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("magic") != CHECKPOINT_MAGIC:
+            try:
+                payload = json.load(fh)
+            except ValueError as err:  # not JSON, truncated, or not text
+                raise ConfigError(f"{path} is not a model checkpoint ({err})") from None
+        if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a model checkpoint (bad magic header)")
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(
-                f"checkpoint version {payload.get('version')} unsupported "
+                f"{path}: checkpoint version {payload.get('version')} unsupported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        model = cls(ModelConfig.from_dict(payload["config"]))
-        state = {
-            name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
-            for name, entry in payload["params"].items()
-        }
+        model = cls(ModelConfig.from_dict(payload.get("config"), f"the config of {path}"))
+        try:
+            state = {
+                name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
+                for name, entry in payload["params"].items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{path} holds a malformed params entry "
+                              f"({type(err).__name__}: {err})") from None
         model.load_state_dict(state)
         return model

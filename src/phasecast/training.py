@@ -43,8 +43,9 @@ class TrainSchedule:
             )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be non-negative, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be non-negative and finite, got {self.learning_rate}")
         # A clip norm <= 0 flips or zeroes every gradient; a decay <= 0 zeroes
         # or flips the learning rate after the first epoch.
         for name in ("clip_norm", "lr_decay"):
@@ -148,6 +149,7 @@ def _for_each_batch(model, inputs: np.ndarray, batch_size: int, consume) -> None
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
     if inputs.shape[0] == 0:
         raise DataError("evaluation over an empty window set")
+    _hold_heap()
     was_training = model.training
     model.eval()
     try:
@@ -207,12 +209,12 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 def _hold_heap() -> None:
     """Keep freed step memory mapped in glibc's heap, once per process.
 
-    Each train step frees its graph, and by default glibc trims the free heap
-    top and unmaps large blocks, so the next step faults the same pages back
-    in. Raising the trim threshold keeps them. The mmap threshold is set with
-    it: the trim threshold alone turns off glibc's dynamic mmap threshold,
-    which then stays at 128 KiB. Where libc has no ``mallopt`` this does
-    nothing.
+    Each train step frees its graph and each inference batch its forward's
+    arrays, and by default glibc trims the free heap top and unmaps large
+    blocks, so the next step or batch faults the same pages back in. Raising
+    the trim threshold keeps them. The mmap threshold is set with it: the
+    trim threshold alone turns off glibc's dynamic mmap threshold, which then
+    stays at 128 KiB. Where libc has no ``mallopt`` this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -482,3 +484,95 @@ class TestParseOncePerRun:
             name = experiment._checkpoint_name(horizon, "full")
             assert (tmp_path / "both" / name).read_bytes() == \
                 (tmp_path / f"h{horizon}" / name).read_bytes()
+
+
+class TestRangeRules:
+    @pytest.mark.parametrize("section, overrides", [
+        ("model", {"num_heads": 0}),
+        ("model", {"num_heads": -2}),
+        ("model", {"rbf_span": [2.0, -2.0]}),
+        ("model", {"rbf_span": [0.0, float("inf")]}),
+        ("model", {"mlp_hidden": 0, "variant": "mlp-swap"}),
+        ("model", {"mlp_hidden": -3, "variant": "mlp-swap"}),
+        ("model", {"conv_kernel": 0, "variant": "conv1d-swap"}),
+        ("train", {"learning_rate": float("nan")}),
+        ("train", {"learning_rate": float("inf")}),
+    ])
+    def test_out_of_range_value_rejected_before_any_work(self, tmp_path, tiny_config,
+                                                         section, overrides):
+        # Each passed the config checks and then failed inside a layer or a
+        # step: a ZeroDivisionError, a ShapeError or a ValueError (exit 1),
+        # non-finite values (exit 4), or mlp_hidden 0 ran silently as dim.
+        _, config = tiny_config
+        config[section].update(overrides)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))  # inf and nan as JSON's Infinity and NaN
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+
+def rewrite_checkpoint(change):
+    def rewrite(path):
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+    return rewrite
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("corrupt", [
+        lambda path: path.write_text(path.read_text()[:200]),
+        lambda path: path.write_text("not a checkpoint"),
+        lambda path: path.write_text("[1, 2]"),
+        rewrite_checkpoint(lambda p: p["params"]["head.weight"].pop("shape")),
+        rewrite_checkpoint(lambda p: p["params"]["head.weight"].pop("data")),
+        rewrite_checkpoint(lambda p: p["config"].update(bogus=1)),
+        rewrite_checkpoint(lambda p: p["config"].update(offsets="2")),
+    ], ids=["truncated", "not-json", "json-list", "no-shape", "no-data",
+            "unknown-config-key", "mistyped-config-key"])
+    def test_is_a_config_error_that_names_the_file(self, tmp_path, tiny_config, corrupt):
+        config_path, config = tiny_config
+        out = Path(config["output_dir"])
+        assert main(["train", "--config", str(config_path)]) == 0
+        checkpoint = next(out.glob("checkpoint_*.json"))
+        corrupt(checkpoint)
+        with pytest.raises(ConfigError, match=checkpoint.name):
+            Forecaster.load_checkpoint(checkpoint)
+        assert main(["eval", "--config", str(config_path)]) == 2
+
+
+def wrong_typed_values(hint):
+    """Values of the wrong JSON type for a field annotated ``hint``."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    wrong = {int: ["1", True, 1.5], float: ["1", True], bool: ["true"], str: [1],
+             list: ["x"], tuple: ["x"], dict: ["x"]}
+    return [value for kind in (typing.get_args(hint) if union else (hint,))
+            if kind is not type(None) for value in wrong[typing.get_origin(kind) or kind]]
+
+
+# Every key a config file may set, by section; the run fills in the rest.
+_SETTABLE = {
+    "dataset": (DatasetSpec, {"lookback", "horizon"}),
+    "model": (ModelConfig, {"num_variates", "lookback", "horizon", "seed"}),
+    "train": (TrainSchedule, {"seed"}),
+    None: (experiment.ExperimentConfig, set()),
+}
+_WRONG_TYPED = [
+    pytest.param(section, f.name, value, id=f"{section or 'top'}.{f.name}={value!r}")
+    for section, (cls, filled) in _SETTABLE.items()
+    for f in dataclasses.fields(cls) if f.name not in filled
+    for value in wrong_typed_values(typing.get_type_hints(cls)[f.name])
+]
+
+
+class TestWrongTypedValues:
+    @pytest.mark.parametrize("section, key, value", _WRONG_TYPED)
+    def test_is_a_config_error_that_names_the_key(self, tmp_path, tiny_config, section, key, value):
+        _, config = tiny_config
+        (config if section is None else config[section])[key] = value
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            experiment.ExperimentConfig.from_dict(config)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()

@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .data import DatasetSpec, prepare_windows
 from .errors import ConfigError, DataError, check_section
-from .metrics import forecast_metrics, repeat_last, window_mean
+from .metrics import MetricSums, squared_error_sum, target_mean
 from .model import SAME_MODEL_AS, Forecaster, ModelConfig, VARIANTS
-from .training import TrainSchedule, grad_check_model, predict, train_model
+from .training import TrainSchedule, _for_each_batch, grad_check_model, train_model
 
 OFFSET_SEMANTICS = (
     "interleaved phases: sub-sequence u holds positions u, u+O, u+2O, ... of the lookback"
@@ -66,6 +66,9 @@ class ExperimentConfig:
         if not config.horizons or min(config.horizons) < 1:
             raise ConfigError(f"'horizons' must be a non-empty list of positive ints, "
                               f"got {config.horizons}")
+        if len(set(config.horizons)) != len(config.horizons):
+            raise ConfigError(f"'horizons' repeats a value, got {config.horizons}: each "
+                              f"horizon is trained once and has one checkpoint")
         if config.metrics_scale not in ("standardized", "raw"):
             raise ConfigError(f"metrics_scale must be 'standardized' or 'raw', "
                               f"got {config.metrics_scale!r}")
@@ -120,26 +123,41 @@ def _report_skeleton(config: ExperimentConfig, mode: str) -> dict:
 
 
 def _evaluate(model: Forecaster, test, scaler=None, batch_size: int = 256) -> dict:
-    """Test metrics plus naive-baseline references.
+    """Test metrics plus naive-baseline references, summed batch by batch.
 
     Training always happens on the standardized scale; passing the fitted
-    ``scaler`` maps predictions and targets back to raw units first.
+    ``scaler`` maps each batch's forecasts, targets and baselines back to raw
+    units first. The baselines broadcast each window's last value and its
+    mean over the horizon. No ``[M, N, F]`` array is built: a first pass
+    over the targets takes their mean (RSE's centre), and one pass through
+    ``_for_each_batch`` adds every other sum in batch order.
     """
     test_x, test_y = test
-    pred = predict(model, test_x, batch_size)
-    horizon = test_y.shape[-1]
-    naive_last = repeat_last(test_x, horizon)
-    naive_mean = window_mean(test_x, horizon)
-    if scaler is not None:
-        def to_raw(arr):
-            # windows are [M, N, steps]; scaler statistics are per variate
-            return arr * scaler.std[None, :, None] + scaler.mean[None, :, None]
+    if scaler is None:
+        def scaled(arr):
+            return arr
+    else:
+        # windows are [M, N, steps]; scaler statistics are per variate
+        std, offset = scaler.std[None, :, None], scaler.mean[None, :, None]
 
-        pred, test_y = to_raw(pred), to_raw(test_y)
-        naive_last, naive_mean = to_raw(naive_last), to_raw(naive_mean)
-    result = forecast_metrics(pred, test_y)
-    result["baseline_repeat_last_mse"] = forecast_metrics(naive_last, test_y)["mse"]
-    result["baseline_window_mean_mse"] = forecast_metrics(naive_mean, test_y)["mse"]
+        def scaled(arr):
+            return arr * std + offset
+
+    sums = MetricSums(target_mean(scaled(test_y[lo:lo + batch_size])
+                                  for lo in range(0, test_y.shape[0], batch_size)))
+    last = mean = 0.0
+
+    def add(lo, pred):
+        nonlocal last, mean
+        x, y = test_x[lo:lo + pred.shape[0]], scaled(test_y[lo:lo + pred.shape[0]])
+        sums.add(scaled(pred), y)
+        last += squared_error_sum(scaled(x[..., -1:]), y)
+        mean += squared_error_sum(scaled(x.mean(axis=-1, keepdims=True)), y)
+
+    _for_each_batch(model, test_x, batch_size, add)
+    result = sums.result()
+    result["baseline_repeat_last_mse"] = last / sums.count
+    result["baseline_window_mean_mse"] = mean / sums.count
     return result
 
 

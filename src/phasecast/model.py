@@ -34,6 +34,7 @@ Variants swap or drop stages:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -110,6 +111,15 @@ class ModelConfig:
         if not np.isfinite(self.rbf_span).all() or (self.rbf_grid > 1 and not hi > lo):
             raise ConfigError(f"rbf_span must be finite, and increasing when rbf_grid > 1, "
                               f"got {list(self.rbf_span)}")
+        # The KAN computes (x - c)^2 / (2 h^2) for bandwidth h and centres c in
+        # [lo, hi]; an inf or 0 in it turns a feature into inf * 0 = NaN.
+        h = (hi - lo) / (self.rbf_grid - 1) if self.rbf_grid > 1 else 1.0
+        width = 2.0 * h * h
+        if not (0.0 < width < math.inf and 1.0 / width < math.inf
+                and max(lo * lo, hi * hi) < math.inf):
+            raise ConfigError(f"rbf_span {list(self.rbf_span)} with rbf_grid {self.rbf_grid} "
+                              f"gives bandwidth h = {h}: 2 h^2 and 1 / (2 h^2) must be "
+                              f"positive and finite, and every centre's square finite")
         if self.mlp_hidden is not None and self.mlp_hidden < 1:
             raise ConfigError(f"mlp_hidden must be null or at least 1, got {self.mlp_hidden}")
         if self.conv_kernel < 1:
@@ -252,6 +262,7 @@ class Forecaster(Module):
                 f"expected input [B, {cfg.num_variates}, {cfg.lookback}], got {x.shape}"
             )
         h, state = self.revin.normalize(x)
+        del x  # the statistics are taken: without a tape the input copy is freed here
         for block in self.blocks:
             h = block(h)
         return self.revin.denormalize(self.head(h), state)

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .metrics import squared_error_sum
 from .tensor import NonFiniteError, Parameter, ShapeError, Tensor, as_tensor, no_grad
 
 
@@ -138,12 +139,13 @@ class TrainReport:
 def _for_each_batch(model, inputs: np.ndarray, batch_size: int, consume) -> None:
     """Run the model over a window set in batches, in eval mode and without a tape.
 
-    This is the one inference path: ``predict``, ``evaluate_mse`` and so
-    validation and test all go through it. ``consume(lo, pred)`` gets each
-    batch's forecast, whose first window is ``inputs[lo]``, and the loop keeps
-    no reference to it, so a batch's forecast is freed before the next forward
-    unless ``consume`` keeps it. The model's training flag is restored
-    afterwards, also when a forward or ``consume`` raises.
+    This is the one inference path: ``predict``, ``evaluate_mse`` (so
+    validation) and the test metrics of ``experiment._evaluate`` all go
+    through it. ``consume(lo, pred)`` gets each batch's forecast, whose first
+    window is ``inputs[lo]``, and the loop keeps no reference to it, so a
+    batch's forecast is freed before the next forward unless ``consume``
+    keeps it. The model's training flag is restored afterwards, also when a
+    forward or ``consume`` raises.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
@@ -196,7 +198,7 @@ def evaluate_mse(model, inputs: np.ndarray, targets: np.ndarray, batch_size: int
     # early stopping that reads it, the same bit for bit across batch layouts.
     def add(lo, pred):
         nonlocal total
-        total += float(((pred - targets[lo:lo + pred.shape[0]]) ** 2).sum())
+        total += squared_error_sum(pred, targets[lo:lo + pred.shape[0]])
 
     _for_each_batch(model, inputs, batch_size, add)
     return total / targets.size

@@ -21,7 +21,7 @@ from phasecast.layers import (
     MultiHeadAttention,
 )
 from phasecast.metrics import forecast_metrics, repeat_last, window_mean
-from phasecast.model import Forecaster, ModelConfig, VARIANTS
+from phasecast.model import SAME_MODEL_AS, Forecaster, ModelConfig, VARIANTS
 from phasecast.offsets import merge_offsets, split_offsets
 from phasecast.revin import RevIN
 from phasecast.synthetic import sine_mixture, write_series_csv
@@ -314,15 +314,18 @@ class TestCriterion8AblationOrdering:
         test_x, test_y = test
         schedule_seeds = (2024, 2025, 2026)
         means = {}
+        runs = {}  # the test MSEs of each distinct build; aliased tags share them
         for tag in ("full", "no-trans", "no-kan", "mote-only", "moti-only"):
-            mses = []
-            for seed in schedule_seeds:
-                model = Forecaster(small_task_config(variant=tag, seed=seed))
-                schedule = TrainSchedule(max_epochs=60, patience=6, batch_size=32,
-                                         learning_rate=0.002, seed=seed)
-                train_model(model, train, val, schedule)
-                mses.append(forecast_metrics(model.forward(test_x).data, test_y)["mse"])
-            means[tag] = float(np.mean(mses))
+            build = SAME_MODEL_AS.get(tag, tag)
+            if build not in runs:
+                runs[build] = mses = []
+                for seed in schedule_seeds:
+                    model = Forecaster(small_task_config(variant=tag, seed=seed))
+                    schedule = TrainSchedule(max_epochs=60, patience=6, batch_size=32,
+                                             learning_rate=0.002, seed=seed)
+                    train_model(model, train, val, schedule)
+                    mses.append(forecast_metrics(model.forward(test_x).data, test_y)["mse"])
+            means[tag] = float(np.mean(runs[build]))
         full = means["full"]
         failures = {tag: mse for tag, mse in means.items()
                     if tag != "full" and full > 1.02 * mse}

@@ -497,14 +497,19 @@ class TestRangeRules:
         ("model", {"conv_kernel": 0, "variant": "conv1d-swap"}),
         ("train", {"learning_rate": float("nan")}),
         ("train", {"learning_rate": float("inf")}),
+        ("model", {"rbf_span": [-1e308, 1e308]}),
+        ("model", {"rbf_span": [0.0, 1e-160]}),
+        (None, {"horizons": [3, 3]}),
     ])
     def test_out_of_range_value_rejected_before_any_work(self, tmp_path, tiny_config,
                                                          section, overrides):
         # Each passed the config checks and then failed inside a layer or a
         # step: a ZeroDivisionError, a ShapeError or a ValueError (exit 1),
         # non-finite values (exit 4), or mlp_hidden 0 ran silently as dim.
+        # The two spans made the KAN's features NaN (exit 4); a repeated
+        # horizon trained, wrote and reported that horizon twice.
         _, config = tiny_config
-        config[section].update(overrides)
+        (config if section is None else config[section]).update(overrides)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))  # inf and nan as JSON's Infinity and NaN
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from phasecast.errors import ConfigError
 from phasecast.experiment import ExperimentConfig
 from phasecast.model import Forecaster, ModelConfig, VARIANTS
-from phasecast.tensor import Tensor
+from phasecast.tensor import Tensor, no_grad
 from phasecast.training import grad_check_model
 from reference_pipeline import reference_forward
 
@@ -133,6 +134,26 @@ class TestForwardSemantics:
         a = Forecaster(small_config()).eval().forward(x).data
         b = Forecaster(small_config()).eval().forward(x).data
         assert np.array_equal(a, b)
+
+    def test_untaped_forward_frees_its_input_copy(self):
+        # A strided batch is copied into C order; the copy is dropped once
+        # RevIN has its statistics, so the peak matches a contiguous batch's.
+        # Held through both blocks it added one input's bytes to the peak.
+        model = Forecaster(ModelConfig(num_variates=32, dropout=0.0, depth=2)).eval()
+        series = np.random.default_rng(3).standard_normal((32, 16 + 95))
+        strided = np.lib.stride_tricks.sliding_window_view(series, 96, axis=1).transpose(1, 0, 2)
+        contiguous = np.ascontiguousarray(strided)
+        peaks = []
+        with no_grad():
+            for x in (contiguous, strided):
+                tracemalloc.start()
+                try:
+                    out = model.forward(x).data
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                np.testing.assert_array_equal(out, model.forward(contiguous).data)
+        assert peaks[1] - peaks[0] < contiguous.nbytes / 2, (peaks, contiguous.nbytes)
 
     def test_stacked_blocks(self):
         model = Forecaster(small_config(depth=2)).eval()

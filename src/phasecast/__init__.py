@@ -13,6 +13,7 @@ from .tensor import (  # noqa: F401
     as_tensor,
     attention,
     matmul,
+    multihead_attention,
     no_grad,
     softmax,
 )
@@ -32,6 +33,7 @@ from .training import (  # noqa: F401
     GradCheckReport,
     TrainReport,
     TrainSchedule,
+    directional_grad_check,
     evaluate_mse,
     grad_check,
     grad_check_model,

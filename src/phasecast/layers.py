@@ -23,12 +23,12 @@ from .tensor import (
     ShapeError,
     Tensor,
     as_tensor,
-    attention,
     conv1d_same,
     gaussian_rbf,
     kan,
     layer_norm,
     matmul,
+    multihead_attention,
     softmax,
     tanh,
 )
@@ -117,8 +117,13 @@ class MultiHeadAttention(Module):
 
     Queries may have a different token count than keys/values, which are
     required to share theirs (cross-attention). Projection matrices are
-    square [model_dim, model_dim] without biases; attention weights get
-    dropout in training mode only.
+    square [model_dim, model_dim] without biases, four separate Parameters;
+    attention weights get dropout in training mode only. A call is one
+    ``tensor.multihead_attention`` op: it projects, attends and applies
+    ``wo`` one block of leading indices at a time, so no whole projection or
+    context exists without a tape, and it records one tape node. Passing
+    the same tensor as q, k and v (or as k and v) lets the op project it
+    with one GEMM against the weights side by side.
     """
 
     def __init__(self, model_dim: int, num_heads: int, rng: np.random.Generator,
@@ -143,21 +148,18 @@ class MultiHeadAttention(Module):
         if k.shape[1] != v.shape[1] or k.shape[0] != v.shape[0] or q.shape[0] != k.shape[0]:
             raise ShapeError(f"attention batch/token mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
 
-        # [B, S, D] projections; head h is columns h*hd:(h+1)*hd of each.
-        qp, kp, vp = matmul(q, self.wq), matmul(k, self.wk), matmul(v, self.wv)
         scale = 1.0 / np.sqrt(float(self.head_dim))
         rng = self._dropout_rng if self.training and self.dropout_rate > 0.0 else None
-        ctx = attention(qp, kp, vp, scale, rng, 1.0 - self.dropout_rate, self.num_heads)
+        out = multihead_attention(q, k, v, (self.wq, self.wk, self.wv, self.wo), scale, rng,
+                                  1.0 - self.dropout_rate, self.num_heads)
         if not return_weights:
-            # Untaped, nothing else holds the projections: free them before
-            # the wo GEMM allocates its output.
-            del qp, kp, vp
-            return matmul(ctx, self.wo)
-        # The fused op keeps no whole weight array; the reference softmax
-        # rebuilds the undropped weights off the tape.
-        qh = qp.data.reshape(*q.shape[:2], self.num_heads, -1).transpose(0, 2, 1, 3)
-        kh = kp.data.reshape(*k.shape[:2], self.num_heads, -1).transpose(0, 2, 3, 1)
-        return matmul(ctx, self.wo), softmax(Tensor(np.matmul(qh, kh)) * scale).data
+            return out
+        # The fused op keeps no projection and no weight array; the reference
+        # softmax rebuilds the undropped weights from projections made off the tape.
+        qh, kh = ((t.data.reshape(-1, self.model_dim) @ w.data)
+                  .reshape(*t.shape[:2], self.num_heads, -1).transpose(0, 2, 1, 3)
+                  for t, w in ((q, self.wq), (k, self.wk)))
+        return out, softmax(Tensor(np.matmul(qh, kh.swapaxes(-1, -2))) * scale).data
 
 
 class GaussianKanLayer(Module):

@@ -536,10 +536,9 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     output ``[..., Sq, heads * d]`` holds ``softmax(q_h @ k_h^T * scale) @ v_h``
     in the same columns, so a projection's output goes in and the merged heads
     come out with no split or merge in between; ``heads=1`` is attention over
-    the last two axes. The op reads the heads as ``[count, heads, S, d]`` views
-    of its inputs, where count is the product of the leading axes, and numbers
-    the ``[Sq, Skv]`` matrices by leading index, then head. With a generator
-    ``rng`` the weights get dropout. ``keep_prob`` is quantized to
+    the last two axes. The op numbers the ``[Sq, Skv]`` matrices by leading
+    index (the product of the leading axes, flattened), then head. With a
+    generator ``rng`` the weights get dropout. ``keep_prob`` is quantized to
     ``threshold / 2**16`` with ``threshold = keep_threshold(keep_prob)``, and
     that value is the one the op uses. Each matrix takes
     ``words = ceil(Sq * Skv / 4)`` 64-bit words of the stream, read as 16-bit
@@ -549,42 +548,66 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     ``rng.bit_generator.random_raw((count * heads, words))`` would. Without
     ``rng``, ``keep_prob`` is ignored.
 
+    This is ``multihead_attention`` without projections; its docstring
+    gives the blocking, the shift, the guard and the backward.
+    """
+    return multihead_attention(q, k, v, None, scale, rng, keep_prob, heads)
+
+
+def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
+                        keep_prob: float = 1.0, heads: int = 1) -> Tensor:
+    """``attention(x_q @ wq, x_k @ wk, x_v @ wv, ...) @ wo`` as one op.
+
+    ``weights`` is ``(wq, wk, wv, wo)``, 2-D, with wq, wk and wv
+    ``[D_in, heads * d]`` and wo ``[heads * d, D_out]``; None means no
+    projections, which is ``attention``. x_k and x_v share their shape, and
+    all three inputs their last axis. The dropout stream is read as
+    ``attention`` reads it, matrix by matrix.
+
+    The op works per block of leading indices and never holds a whole
+    projection. A block is whole leading indices with all their heads when
+    one index's heads fit, and otherwise some heads of one index. An index's
+    first block projects its rows: one GEMM per distinct input, against the
+    weights it feeds side by side, so self-attention (``x_q is x_k is x_v``)
+    is one GEMM against ``[wq | wk | wv]`` and cross-attention with
+    ``x_k is x_v`` one against ``[wk | wv]``. The projections go into the
+    staged ``[q * scale, -m]``, ``[k, 1]^T`` and (without dropout) ``[v, 1]``
+    buffers for all of the index's heads, and every block's GEMMs read their
+    heads from them. At small N a block holds whole indices, so the
+    projection GEMMs span many indices; at N = 321 a block is one matrix, and
+    its index is projected once, not once per head. Once an index's last
+    head is written its context rows go through wo into the output, so an
+    untaped call holds the output, the inputs and one block's buffers.
+
     A block's weights fill about ``ATTENTION_BLOCK_BYTES`` (1 MiB, at least
-    one matrix; untaped, one matrix's augmented operands below take at most a
-    quarter of its share), so the passes over a block's ``[Sq, Skv]`` arrays re-read the
-    core's L2 cache. A block is whole leading indices with all their heads
-    when one index's heads fit, and otherwise some heads of one index. No
-    ``[Sq, Skv]`` array is scaled or normalized: a block leaves its exp
-    weights ``E = exp(s - m)`` unnormalized, and the per-row factor
-    ``coef = (1 / keep_prob) / rowsum(E)`` multiplies the ``[Sq, d]`` output
-    instead (Rabe & Staats 2021), so any per-row shift ``m`` at or above the
-    row's largest score gives the same softmax. The shift is the
-    Cauchy-Schwarz bound ``m_i = |q_i * scale| * max_j |k_j|``, and the GEMMs
-    apply it: q gets a ``-m`` column and k a ones column, so the score GEMM
-    returns ``s - m`` and ``exp`` runs in place on it. Without dropout, v gets
-    a ones column too and the value GEMM ``E @ [v, 1]`` returns ``rowsum(E)``
-    as its last column; with dropout the factor needs the sum of the unmasked
-    E, which takes one pass. That leaves the score GEMM, ``exp`` and the value
-    GEMM as the passes over a block's ``[Sq, Skv]`` arrays, plus the sum, the
-    mask and its multiply with dropout; the multiply masks E in place, after
-    the sum, so no second ``[Sq, Skv]`` buffer is made. The augmented
-    operands are built per leading index, for all of its heads, in reused
-    ``[rows, heads, S, d + 1]`` buffers (q's as one flat ``q * scale`` over
-    the index's rows and a copy), and every block's GEMMs read their heads
-    from them. At small N a block holds whole indices, so that is once per
-    block; at N = 321, where a block is one matrix, it is once per index
-    instead of once per head.
+    one matrix; untaped, one matrix's augmented operands take at most a
+    quarter of its share), so the passes over a block's ``[Sq, Skv]`` arrays
+    re-read the core's L2 cache. No ``[Sq, Skv]`` array is scaled or
+    normalized: a block leaves its exp weights ``E = exp(s - m)``
+    unnormalized, and the per-row factor ``coef = (1 / keep_prob) /
+    rowsum(E)`` multiplies the ``[Sq, d]`` context instead (Rabe & Staats
+    2021), so any per-row shift ``m`` at or above the row's largest score
+    gives the same softmax. The shift is the Cauchy-Schwarz bound ``m_i =
+    |q_i * scale| * max_j |k_j|``, taken from the index's own projections,
+    and the GEMMs apply it: q gets a ``-m`` column and k a ones column, so the
+    score GEMM returns ``s - m`` and ``exp`` runs in place on it. Without
+    dropout, v gets a ones column too and the value GEMM ``E @ [v, 1]``
+    returns ``rowsum(E)`` as its last column; with dropout the factor needs
+    the sum of the unmasked E, which takes one pass. That leaves the score
+    GEMM, ``exp`` and the value GEMM as the passes over a block's ``[Sq,
+    Skv]`` arrays, plus the sum, the mask and its multiply with dropout; the
+    multiply masks E in place, after the sum, so no second ``[Sq, Skv]``
+    buffer is made.
 
     The heads make the ``[..., d]`` axis tiny (d = 3 at L = 96 with four
     offsets and 8 heads), and numpy runs a broadcast over such an axis as one
     inner loop per row, so the per-row work is done on the ``[..., Sq,
     heads * d]`` layout instead. coef is one ``[count, Sq, heads]`` array.
-    With dropout the output rows are scaled, once an index's last head is
+    With dropout the context rows are scaled, once an index's last head is
     written, by one flat multiply against the index's factors repeated d
-    times (``np.repeat``), made per index so no batch-sized array is added;
-    without dropout, ``[E @ v, rowsum(E)]`` is kept per index too, and once
-    the index's last head is written one multiply, walking the output in
-    its own order, scales every head's rows into it.
+    times (``np.repeat``); without dropout, ``[E @ v, rowsum(E)]`` is kept per
+    index, and once the index's last head is written one multiply, walking
+    the context in its own order, scales every head's rows into it.
 
     A matrix takes the exact path instead (score GEMM, a scan for
     non-finite scores whose error names ``attention``, then the row max as
@@ -599,29 +622,64 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     when that fires does ``argwhere`` find the matrices; a NaN sum fails
     both comparisons alike, so the matrices found are the same.
     Every matrix is computed on its own, so neither the block size nor the
-    head layout changes a value, and taped and untaped calls run the same
-    arithmetic, E in place in one reused buffer. A taped call keeps no
-    ``[Sq, Skv]`` float array: it keeps coef and, per block, the boolean
-    mask and the matrices the guard redid, and backward rebuilds each
-    block's E with the same GEMM and ``exp``, bit for bit, without touching
-    ``rng``. It uses ``D = rowsum(dO * O)`` for the softmax term (Dao et al.
-    2022), so the normalized weights are never built; D is made once per
-    call, as one flat ``dO * O`` and one GEMV over d. Its multiplies by coef
+    head layout changes an attention value, and taped and untaped calls run
+    the same arithmetic, E in place in one reused buffer. The projection and
+    output GEMMs span a block's indices, so with weights the block size may
+    move the last digits.
+
+    A taped call keeps no ``[Sq, Skv]`` float array and no projection: it
+    keeps the whole context (wo's gradient reads it), coef, the shifts and,
+    per block, the boolean mask and the matrices the guard redid. Backward
+    projects each index again with the forward's GEMM (Chen et al. 2016) and
+    rebuilds each block's E with the same GEMM and ``exp``, bit for bit,
+    without touching ``rng``. It uses ``D = rowsum(dO * O)`` for the softmax term (Dao
+    et al. 2022), so the normalized weights are never built; D is made per
+    index, as one flat ``dO * O`` and one GEMV over d. Its multiplies by coef
     (of dO before the value-gradient GEMM, of q before the key-gradient GEMM
     and of the query gradient) are flat passes against the repeated factors,
-    made per leading index as in forward, with ``v^T``; the query gradient
-    is scaled once the index's last head is written.
+    made per index as in forward, with ``v^T``; the query gradient is scaled
+    once the index's last head is written. Then each input's gradient rows
+    and each weight's gradient are 2-D GEMMs over the index's rows, one per
+    distinct input, the weight gradients summed over the indices.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim < 2 or q.shape[-1] != k.shape[-1] or k.shape != v.shape \
-            or heads < 1 or q.shape[-1] % heads:
+    xq, xk, xv = (as_tensor(t) for t in (x_q, x_k, x_v))
+    if xq.ndim < 2 or xq.shape[-1] != xk.shape[-1] or xk.shape != xv.shape or heads < 1:
         raise ShapeError(f"attention with {heads} heads needs q [..., Sq, heads * d] and "
-                         f"k, v [..., Skv, heads * d]; got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[:-2] != k.shape[:-2]:
-        raise ShapeError(f"attention batch dimensions differ: {q.shape} vs {k.shape}")
-    sq, skv, d = q.shape[-2], k.shape[-2], q.shape[-1] // heads
-    count = math.prod(q.shape[:-2])
-    dtype = q.data.dtype
+                         f"k, v [..., Skv, heads * d]; got {xq.shape}, {xk.shape}, {xv.shape}")
+    if xq.shape[:-2] != xk.shape[:-2]:
+        raise ShapeError(f"attention batch dimensions differ: {xq.shape} vs {xk.shape}")
+    width = xq.shape[-1]  # heads * d, of the projections when there are weights
+    if weights is not None:
+        ws = tuple(as_tensor(w) for w in weights)
+        wq, wo = ws[0], ws[3]
+        if any(w.ndim != 2 for w in ws) or wq.shape[0] != width \
+                or not ws[1].shape == ws[2].shape == wq.shape or wo.shape[0] != wq.shape[1]:
+            raise ShapeError(f"attention weights {[w.shape for w in ws]} do not fit "
+                             f"inputs of width {width}")
+        width = wq.shape[1]
+    if width % heads:
+        raise ShapeError(f"attention with {heads} heads needs a width divisible by it, "
+                         f"got {width}")
+    sq, skv, d = xq.shape[-2], xk.shape[-2], width // heads
+    width_out = width if weights is None else wo.shape[1]
+    count = math.prod(xq.shape[:-2])
+    # The sources: each distinct input, its data as [count, S, D_in], the
+    # weights it feeds side by side (None without projections) and the roles
+    # it plays (0 = q, 1 = k, 2 = v). Without projections each role is a
+    # source of its own, as each input of `attention` gets its own gradient.
+    if weights is None:
+        sources = [(t, None, (r,)) for r, t in enumerate((xq, xk, xv))]
+    else:
+        by_input = {}
+        for r, t in enumerate((xq, xk, xv)):
+            by_input.setdefault(id(t), (t, []))[1].append(r)
+        sources = [(t, np.concatenate([ws[r].data for r in roles], axis=1), roles)
+                   for t, roles in by_input.values()]
+    sources = [(t, t.data.reshape(count, t.shape[-2], t.shape[-1]), w, roles)
+               for t, w, roles in sources]
+    parents = tuple(t for t, _, _, _ in sources) + (() if weights is None else ws)
+    # A float32 input with float64 weights runs in float64, as matmul would.
+    dtype = np.result_type(*(t.data.dtype for t in parents))
     if rng is None:
         keep_prob, inv_keep = 1.0, 1.0
     else:
@@ -634,25 +692,14 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     finfo = np.finfo(dtype)
     max_shift, min_sum = finfo.max / 2, np.sqrt(finfo.tiny)
 
-    def split(a):  # [n, S, nh * d] -> [n, nh, S, d], a view when a is C-ordered
+    def split(a):  # [n, S, nh * d] -> [n, nh, S, d], a view
         return a.reshape(a.shape[0], a.shape[1], a.shape[2] // d, d).swapaxes(1, 2)
 
     def flat_factors(i):
         """The ``[n, S, heads]`` factors of index rows i repeated d times: ``[n, S, heads * d]``."""
         return np.repeat(coef[i], d, axis=-1)
 
-    q3, k3, v3 = (t.data.reshape(count, t.shape[-2], heads * d) for t in (q, k, v))
-    qs, ks, vs = split(q3), split(k3), split(v3)
-    # Overflow and 0 * inf land in a shift that the guard rejects. The shift
-    # is built negated and C-ordered and copied into the q buffers: numpy
-    # 2.4's AVX-512 `negative` miswrites a 64-byte-strided input into a
-    # strided `out`, which shifted rows by other rows' bounds.
-    with np.errstate(over="ignore", invalid="ignore"):
-        k_norm = np.sqrt(np.einsum("...i,...i->...", ks, ks).max(axis=-1, keepdims=True))
-        neg_shift = np.multiply(np.sqrt(np.einsum("...i,...i->...", qs, qs)),
-                                -(k_norm * abs(scale)), order="C")
-    unsafe = ~(neg_shift > -max_shift).all(axis=-1)
-    taped = _GRAD_MODE.enabled and any(t.requires_grad for t in (q, k, v))
+    taped = _GRAD_MODE.enabled and any(t.requires_grad for t in parents)
     # E fills the block. Untaped, at small N the thin augmented operands
     # below would outweigh it, so one matrix's take at most a quarter of its
     # share; taped, the masks and per-row factors kept from every block, the
@@ -675,9 +722,22 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     shape = (rows, cols, sq, skv)
     staged = (rows, heads)  # an index's operands are staged for all its heads
 
-    # Forward and backward build a block's E with these three, so the
-    # rebuilt E has the forward's bits. Each pass makes its own buffers, so
-    # a taped call keeps none of them.
+    def row_buffers():
+        """Per source, a buffer for an index block's rows of its projections (None without)."""
+        return [None if w is None else np.empty((rows * x3.shape[1], w.shape[1]), dtype)
+                for _, x3, w, _ in sources]
+
+    def role_views(i, nb, per_source):
+        """q, k and v of index rows i as ``[nb, S, width]`` views of each source's 2-D rows."""
+        views = [None] * 3
+        for (_, _, _, roles), flat in zip(sources, per_source):
+            for j, r in enumerate(roles):
+                views[r] = flat[:, j * width:(j + 1) * width].reshape(nb, -1, width)
+        return views
+
+    # Forward and backward stage an index and build a block's E with these,
+    # so backward's projections and E have the forward's bits. Each pass
+    # makes its own buffers, so a taped call keeps none of them.
     def exp_buffers():
         """Buffers for a block's ``scores`` and an index's ``[q * scale, -m]`` and ``[k, 1]^T``."""
         # The score GEMM writes a reused, cache-warm buffer, and exp runs
@@ -687,17 +747,36 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
         return (np.empty(shape, dtype), np.empty(staged + (sq, d + 1), dtype),
                 np.ones(staged + (d + 1, skv), dtype))
 
-    def block_exp(block, scores, qa, kt):
-        """The block's ``E = exp(s - m)``, in place in ``scores``.
+    def stage(i, nb, proj, qa, kt, neg_shift=None):
+        """Project index rows i and stage their heads' ``[q * scale, -m]`` and ``[k, 1]^T``.
 
-        An index's first block stages its operands for every head, and
-        each block's GEMM reads its heads from them.
+        Returns q, k and v (``[nb, S, width]``) and the ``[nb, heads, Sq]``
+        negated shifts. Backward passes forward's shifts in.
         """
-        i, h, (nb, nh), first, _ = block
-        if first:
-            qa[:nb, ..., :d] = split(q3[i] * scale)  # flat multiply, then a copy
-            qa[:nb, ..., d] = neg_shift[i]
-            kt[:nb, :, :d] = np.swapaxes(ks[i], -1, -2)
+        projected = [x3[i].reshape(-1, x3.shape[-1]) if w is None else
+                     np.matmul(x3[i].reshape(-1, x3.shape[-1]), w, out=buf[:nb * x3.shape[1]])
+                     for (_, x3, w, _), buf in zip(sources, proj)]
+        q_i, k_i, v_i = role_views(i, nb, projected)
+        ks = split(k_i)
+        if neg_shift is None:
+            # Overflow and 0 * inf land in a shift that the guard rejects.
+            # The shift is built negated and C-ordered and copied into the q
+            # buffers: numpy 2.4's AVX-512 `negative` miswrites a
+            # 64-byte-strided input into a strided `out`, which shifted rows
+            # by other rows' bounds.
+            qs = split(q_i)
+            with np.errstate(over="ignore", invalid="ignore"):
+                k_norm = np.sqrt(np.einsum("...i,...i->...", ks, ks).max(axis=-1, keepdims=True))
+                neg_shift = np.multiply(np.sqrt(np.einsum("...i,...i->...", qs, qs)),
+                                        -(k_norm * abs(scale)), order="C")
+        qa[:nb, ..., :d] = split(q_i * scale)  # flat multiply, then a copy
+        qa[:nb, ..., d] = neg_shift
+        kt[:nb, :, :d] = np.swapaxes(ks, -1, -2)
+        return q_i, k_i, v_i, neg_shift
+
+    def block_exp(block, scores, qa, kt):
+        """The block's ``E = exp(s - m)``, in place in ``scores``, from its index's staged heads."""
+        _, h, (nb, nh), _, _ = block
         e = scores[:nb, :nh]
         return np.exp(np.matmul(qa[:nb, h], kt[:nb, h], out=e), out=e)
 
@@ -714,26 +793,41 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
             np.exp(e_i, out=e_i)
 
     scores, qa, kt = exp_buffers()
+    proj = row_buffers()
     # Without dropout also an index's [v, 1] and [E @ v, rowsum(E)].
     if rng is None:
         va, oa = np.ones(staged + (skv, d + 1), dtype), np.empty(staged + (sq, d + 1), dtype)
     else:
         reused_mask = None if taped else np.empty(shape, bool)
 
-    out = np.empty(q.shape, dtype)
-    out3 = out.reshape(q3.shape)
-    outs = split(out3)
-    # (1 / keep_prob) / rowsum(E) per row and head, for the dropout path and backward
+    out = np.empty(xq.shape[:-1] + (width_out,), dtype)
+    out3 = out.reshape(count, sq, width_out)
+    # The context: the output itself without projections; with them, the
+    # whole context when taped (wo's gradient reads it), else one block's rows.
+    whole_ctx = weights is None or taped
+    if weights is None:
+        ctx3 = out3
+    else:
+        ctx3 = np.empty((count if taped else rows, sq, width), dtype)
+    # (1 / keep_prob) / rowsum(E) per row and head, for the dropout path and
+    # backward; taped, also every index's shifts.
     coef = np.empty((count, sq, heads), dtype) if taped or rng is not None else None
+    shifts = np.empty((count, heads, sq), dtype) if taped else None
     kept = []  # (mask, exact-path pairs) per block, for backward
     # Only matrices the guard sends down the exact path can overflow here.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in blocks:
             i, h, (nb, nh), first, last = block
+            if first:
+                q_i, k_i, v_i, neg_shift = stage(i, nb, proj, qa, kt)
+                unsafe = ~(neg_shift > -max_shift).all(axis=-1)
+                if taped:
+                    shifts[i] = neg_shift
+                ctx_i = ctx3[i] if whole_ctx else ctx3[:nb]
+                if rng is None:
+                    va[:nb, ..., :d] = split(v_i)
             e = block_exp(block, scores, qa, kt)
             if rng is None:
-                if first:
-                    va[:nb, ..., :d] = vs[i]
                 va_b, oa_b = va[:nb, h], oa[:nb, h]
                 sums = np.matmul(e, va_b, out=oa_b)[..., d:]
             else:
@@ -743,8 +837,8 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
             # block checks first; a NaN sum compares false in both forms, so
             # they find the same matrices.
             pairs = ()
-            if unsafe[i, h].any() or sums.min() < min_sum:
-                pairs = np.argwhere(unsafe[i, h] | (sums < min_sum).any(axis=(-2, -1)))
+            if unsafe[:, h].any() or sums.min() < min_sum:
+                pairs = np.argwhere(unsafe[:, h] | (sums < min_sum).any(axis=(-2, -1)))
                 exact_exp(e, pairs, h.start, qa, kt)
             for a, j in pairs:
                 if rng is None:
@@ -753,10 +847,10 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
                     sums[a, j] = e[a, j].sum(axis=-1, keepdims=True)
             mask = None
             if rng is None:
-                if last:  # the index's rows, every head written, in the output's order
+                if last:  # the index's rows, every head written, in the context's order
                     oa_i = oa[:nb].swapaxes(1, 2)
                     coef_i = inv_keep / oa_i[..., d:]
-                    np.multiply(oa_i[..., :d], coef_i, out=out3[i].reshape(nb, sq, heads, d))
+                    np.multiply(oa_i[..., :d], coef_i, out=ctx_i.reshape(nb, sq, heads, d))
                     if coef is not None:
                         coef[i] = coef_i[..., 0]
             else:
@@ -770,56 +864,78 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
                 # the mask goes on in place. v, not [v, 1]: at head size 12 an
                 # unused sum column would cost a quarter of this GEMM.
                 e *= mask
-                np.matmul(e, vs[i, h], out=outs[i, h])
+                np.matmul(e, split(v_i)[:, h], out=split(ctx_i)[:, h])
                 if last:  # one flat pass over the index's rows, every head written
-                    out_i = out3[i]
-                    out_i *= flat_factors(i)
+                    ctx_i *= flat_factors(i)
+            if last and weights is not None:
+                np.matmul(ctx_i.reshape(-1, width), wo.data, out=out3[i].reshape(-1, width_out))
             if taped:
                 kept.append((mask, pairs))
 
     def backward_fn(g):
-        g3 = g.reshape(q3.shape)
-        gq, gk, gv = (np.empty(t.shape, t.data.dtype) for t in (q, k, v))
-        gq3 = gq.reshape(q3.shape)
-        gs, gqs = split(g3), split(gq3)
-        gks, gvs = (split(a.reshape(k3.shape)) for a in (gk, gv))
-        # D = rowsum(dO * O) for every row and head at once: one flat product,
-        # held in gq until the blocks overwrite it, and one GEMV over d.
-        dsum = np.matmul(np.multiply(g3, out3, out=gq3).reshape(-1, d), np.ones(d, dtype))
-        dsum = dsum.reshape(coef.shape)
-        dsum *= keep_prob
+        g3 = g.reshape(count, sq, width_out)
+        grads = [np.empty(x3.shape, dtype) for _, x3, _, _ in sources]
+        w_grads = [None if w is None else np.zeros(w.shape, dtype) for _, _, w, _ in sources]
+        ones = np.ones(d, dtype)
         scores, qa, kt = exp_buffers()
+        proj, grad_rows = row_buffers(), row_buffers()
         buf = np.empty(shape, dtype)  # E * mask, then the score gradient
         # v^T per index: a GEMM against a transposed view is slower.
         vt = np.empty(staged + (d, skv), dtype)
+        if weights is not None:
+            gwo = np.zeros(wo.shape, dtype)
         for block, (mask, pairs) in zip(blocks, kept):
             i, h, (nb, nh), first, last = block
+            if first:  # project the index again; its dO, D and coef-scaled operands
+                q_i, k_i, v_i, _ = stage(i, nb, proj, qa, kt, shifts[i])
+                gq_i, gk_i, gv_i = role_views(i, nb, [
+                    gx[i].reshape(-1, gx.shape[-1]) if gbuf is None else gbuf[:nb * gx.shape[1]]
+                    for gx, gbuf in zip(grads, grad_rows)])
+                ctx_i = ctx3[i]
+                if weights is None:
+                    dctx = g3[i]
+                else:
+                    g_rows = g3[i].reshape(-1, width_out)
+                    gwo += ctx_i.reshape(-1, width).T @ g_rows
+                    dctx = (g_rows @ wo.data.T).reshape(nb, sq, width)
+                # D = rowsum(dO * O) for the index's rows and heads: one flat
+                # product and one GEMV over d.
+                dsum = np.matmul((dctx * ctx_i).reshape(-1, d), ones).reshape(nb, sq, heads)
+                dsum *= keep_prob
+                factor = flat_factors(i)
+                g_coef = split(dctx * factor)
+                factor *= scale
+                q_coef = split(q_i * factor)
+                vt[:nb] = np.swapaxes(split(v_i), -1, -2)
+                gs, ks = split(dctx), split(k_i)
             with np.errstate(over="ignore", invalid="ignore"):
                 e = block_exp(block, scores, qa, kt)
                 exact_exp(e, pairs, h.start, qa, kt)
-            if first:  # dO * coef, q * coef * scale and v^T for the index's heads
-                factor = flat_factors(i)
-                g_coef = split(g3[i] * factor)
-                factor *= scale
-                q_coef = split(q3[i] * factor)
-                vt[:nb] = np.swapaxes(vs[i], -1, -2)
             e_kept = e if mask is None else np.multiply(e, mask, out=buf[:nb, :nh])
-            np.matmul(np.swapaxes(e_kept, -1, -2), g_coef[:, h], out=gvs[i, h])
-            x = np.matmul(gs[i, h], vt[:nb, h], out=buf[:nb, :nh])
+            np.matmul(np.swapaxes(e_kept, -1, -2), g_coef[:, h], out=split(gv_i)[:, h])
+            x = np.matmul(gs[:, h], vt[:nb, h], out=buf[:nb, :nh])
             if mask is not None:
                 x *= mask
-            x -= dsum[i, :, h].swapaxes(1, 2)[..., None]
+            x -= dsum[:, :, h].swapaxes(1, 2)[..., None]
             x *= e
-            np.matmul(x, ks[i, h], out=gqs[i, h])
-            np.matmul(np.swapaxes(x, -1, -2), q_coef[:, h], out=gks[i, h])
-            if last:  # one flat pass over the index's rows, every head written
-                gq_i = gq3[i]
+            np.matmul(x, ks[:, h], out=split(gq_i)[:, h])
+            np.matmul(np.swapaxes(x, -1, -2), q_coef[:, h], out=split(gk_i)[:, h])
+            if last:  # every head written: scale dq, then project back per source
                 gq_i *= factor
-        q._accumulate(gq)
-        k._accumulate(gk)
-        v._accumulate(gv)
+                for (_, x3, w, _), gx, gw, gbuf in zip(sources, grads, w_grads, grad_rows):
+                    if w is not None:
+                        g_proj = gbuf[:nb * x3.shape[1]]
+                        np.matmul(g_proj, w.T, out=gx[i].reshape(-1, x3.shape[-1]))
+                        gw += x3[i].reshape(-1, x3.shape[-1]).T @ g_proj
+        for (t, _, _, _), gx in zip(sources, grads):
+            t._accumulate(gx.reshape(t.shape))
+        if weights is not None:
+            for (_, _, _, roles), gw in zip(sources, w_grads):
+                for j, r in enumerate(roles):
+                    ws[r]._accumulate(gw[:, j * width:(j + 1) * width])
+            wo._accumulate(gwo)
 
-    return _make_output(out, (q, k, v), backward_fn, "attention")
+    return _make_output(out, parents, backward_fn, "attention")
 
 
 def _expand(x: np.ndarray, centers: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Optimizer, loss, epoch loop with early stopping, and the
-finite-difference gradient checker used by the verification suite.
+finite-difference gradient checkers used by the verification suite.
 """
 
 from __future__ import annotations
@@ -359,6 +359,45 @@ def grad_check(loss_fn, params, step: float = 1e-5, tolerance: float = 1e-4,
                     worst_name = f"{p.name}[{i}]"
     return GradCheckReport(max_rel_error=worst, worst_name=worst_name,
                            coords_checked=checked, tolerance=tolerance)
+
+
+def directional_grad_check(loss_fn, params, directions: int = 4, step: float = 1e-4,
+                           tolerance: float = 1e-6, seed: int = 0) -> GradCheckReport:
+    """Compare the tape's gradient with central differences along random directions.
+
+    The parameters are packed into one flat vector (an ``Adam``'s ``data``,
+    whose views they become), and for each random unit vector u the
+    directional derivative ``g . u`` is compared with
+    ``(L(theta + step u) - L(theta - step u)) / (2 step)``. Two probes check
+    every coordinate at once, so this runs at shapes where ``grad_check``'s
+    walk over each coordinate would take hundreds of thousands of forwards.
+    The relative error divides by the larger magnitude of the two. Only the
+    analytic pass records a tape; ``loss_fn`` must repeat its value for the
+    same parameters (restore any dropout generator inside it).
+    """
+    params = [p for p in params if isinstance(p, Parameter) and p.trainable]
+    flat = Adam(params)
+    flat.grad.fill(0)
+    loss_fn().backward()
+    grad = flat.grad.copy()
+    centre = flat.data.copy()
+    rng = np.random.default_rng(seed)
+    worst, worst_name = 0.0, ""
+    with no_grad():
+        for k in range(directions):
+            u = rng.standard_normal(centre.size)
+            u /= np.sqrt(np.dot(u, u))
+            flat.data[...] = centre + step * u
+            plus = loss_fn().item()
+            flat.data[...] = centre - step * u
+            minus = loss_fn().item()
+            flat.data[...] = centre
+            analytic, numeric = float(np.dot(grad, u)), (plus - minus) / (2.0 * step)
+            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), np.finfo(float).tiny)
+            if rel > worst:
+                worst, worst_name = rel, f"direction {k}"
+    return GradCheckReport(max_rel_error=worst, worst_name=worst_name,
+                           coords_checked=centre.size, tolerance=tolerance)
 
 
 def grad_check_model(model, x: np.ndarray, y: np.ndarray,

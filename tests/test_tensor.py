@@ -24,6 +24,7 @@ from phasecast.tensor import (
     kan,
     layer_norm,
     matmul,
+    multihead_attention,
     no_grad,
     reshape,
     revin_denormalize,
@@ -574,6 +575,114 @@ class TestFusedAttention:
         for single, double in zip(*results):
             assert single.dtype == np.float32
             np.testing.assert_allclose(single, double, rtol=1e-4, atol=1e-4 * np.abs(double).max())
+
+
+def composed_multihead(x_q, x_kv, wq, wk, wv, wo, scale, rng, keep_prob, heads):
+    """The projections, ``attention`` and the output projection as separate tape ops."""
+    ctx = attention(matmul(x_q, wq), matmul(x_kv, wk), matmul(x_kv, wv), scale, rng, keep_prob,
+                    heads)
+    return matmul(ctx, wo)
+
+
+class TestFusedProjections:
+    """``multihead_attention`` against the composition of its projections and ``attention``.
+
+    Per-block GEMMs may round differently from one GEMM over all rows, so
+    the two agree within 1e-12 of the largest value, not bit for bit.
+    """
+
+    @staticmethod
+    def inputs(q_shape, kv_rows, cross):
+        """x_q, x_kv when cross, the four [D, D] weights and an upstream gradient."""
+        rng = np.random.default_rng(20)
+        batch, _, dim = q_shape
+        xs = [rng.standard_normal(q_shape)]
+        if cross:
+            xs.append(rng.standard_normal((batch, kv_rows, dim)))
+        ws = [rng.uniform(-1.0, 1.0, (dim, dim)) / np.sqrt(dim) for _ in range(4)]
+        return xs + ws, rng.standard_normal(q_shape)
+
+    @staticmethod
+    def run(op, arrays, upstream, masked, heads):
+        """The output, every input's gradient and the dropout generator's next word."""
+        params = [Parameter(a, f"p{i}") for i, a in enumerate(arrays)]
+        x_q, x_kv, ws = params[0], params[-5], params[-4:]
+        drop_rng = dropout_rng(21, masked)
+        scale = 1.0 / np.sqrt(ws[0].shape[1] // heads)
+        if op == "fused":
+            out = multihead_attention(x_q, x_kv, x_kv, ws, scale, drop_rng,
+                                      0.9 if masked else 1.0, heads)
+        else:
+            out = composed_multihead(x_q, x_kv, *ws, scale, drop_rng, 0.9 if masked else 1.0,
+                                     heads)
+        (out * Tensor(upstream)).sum().backward()
+        word = drop_rng.bit_generator.random_raw() if masked else None
+        return [out.data] + [p.grad for p in params], word
+
+    def check(self, arrays, upstream, masked, heads):
+        fused, fused_word = self.run("fused", arrays, upstream, masked, heads)
+        composed, composed_word = self.run("composed", arrays, upstream, masked, heads)
+        assert len(fused) == len(arrays) + 1
+        for got, want in zip(fused, composed):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert fused_word == composed_word
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("shape", [(128, 7, 24), (2, 321, 96)])
+    def test_matches_composition_at_benchmark_shapes(self, shape, cross, masked):
+        # The local layer of a train-etth step (many indices per block) and
+        # the fusion layer at N = 321 (one matrix per block), 8 heads.
+        arrays, upstream = self.inputs(shape, shape[1], cross)
+        self.check(arrays, upstream, masked, 8)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("block_bytes", [4 * 24000 - 1, 4 * 24000, 2**20])
+    def test_matches_composition_at_any_block_size(self, monkeypatch, block_bytes, cross,
+                                                   masked):
+        # The budgets of test_heads_match_contiguous_head_split_copies: blocks
+        # of some heads of one index, of one whole index, and of every index.
+        monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", block_bytes)
+        arrays, upstream = self.inputs((3, 50, 8), 60, cross)
+        self.check(arrays, upstream, masked, 4)
+
+    @pytest.mark.parametrize("bad", ["wq rows", "wv shape", "wo rows", "width"])
+    def test_weights_that_do_not_fit_are_rejected(self, bad):
+        x = Tensor(np.zeros((2, 3, 8)))
+        ws = {"wq": np.zeros((8, 8)), "wk": np.zeros((8, 8)), "wv": np.zeros((8, 8)),
+              "wo": np.zeros((8, 8))}
+        if bad == "wq rows":
+            ws["wq"] = ws["wk"] = ws["wv"] = np.zeros((6, 8))
+        elif bad == "wv shape":
+            ws["wv"] = np.zeros((8, 4))
+        elif bad == "wo rows":
+            ws["wo"] = np.zeros((4, 8))
+        else:  # 6 columns do not split into 4 heads
+            ws = {name: np.zeros((8, 6) if name != "wo" else (6, 8)) for name in ws}
+        with pytest.raises(ShapeError):
+            multihead_attention(x, x, x, [Tensor(w) for w in ws.values()], 0.5, heads=4)
+
+    def test_one_gemm_per_distinct_input(self, monkeypatch):
+        # Self-attention projects q, k and v with one GEMM per index block,
+        # cross-attention with x_k is x_v one for q and one for k and v.
+        rng = np.random.default_rng(23)
+        x, y = (Tensor(rng.standard_normal((2, 5, 8))) for _ in range(2))
+        ws = [Tensor(rng.standard_normal((8, 8))) for _ in range(4)]
+        widths = []
+        matmul_ = np.matmul
+
+        def recording_matmul(a, b, *args, **kwargs):
+            if b.ndim == 2 and b.shape[0] == 8 and a.shape[-1] == 8:
+                widths.append(b.shape[1])
+            return matmul_(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(tensor.np, "matmul", recording_matmul)
+        for x_kv, expected in ((x, [24, 8]), (y, [8, 16, 8])):
+            widths.clear()
+            with no_grad():
+                multihead_attention(x, x_kv, x_kv, ws, 0.5, heads=2)
+            assert widths == expected
 
 
 def run_with_grads(build, arrays, upstream):

@@ -12,6 +12,7 @@ import phasecast
 from phasecast.data import StandardScaler, make_windows, stack_windows
 from phasecast.errors import ConfigError, DataError
 from phasecast.model import Forecaster, ModelConfig
+from phasecast.revin import RevinState
 from phasecast.synthetic import linear_trend
 from phasecast.tensor import (
     NonFiniteError,
@@ -21,12 +22,14 @@ from phasecast.tensor import (
     _make_output,
     matmul,
     no_grad,
+    revin_normalize,
 )
 from phasecast.training import (
     Adam,
     TrainSchedule,
     _for_each_batch,
     clip_gradients,
+    directional_grad_check,
     evaluate_mse,
     grad_check,
     mse_loss,
@@ -480,6 +483,67 @@ class TestGradCheckHarness:
         assert modes == [True] + [False] * 8
         assert report.coords_checked == 4
 
+
+
+class TestDirectionalGradCheck:
+    """Directional checks of the whole model at N = 321, B = 2, float64.
+
+    There an attention block is one matrix, the head layout and the
+    per-index projections run as in the wide benchmarks, and the KAN spans
+    several feature blocks: paths the small-shape checks never reach.
+    """
+
+    @staticmethod
+    def wide_case(depth, dropout):
+        rng = np.random.default_rng(31)
+        model = Forecaster(ModelConfig(num_variates=321, depth=depth, dropout=dropout, seed=32))
+        x, y = rng.standard_normal((2, 321, 96)), rng.standard_normal((2, 321, 96))
+        return model.train() if dropout else model.eval(), x, Tensor(y)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_full_model_parameters(self, depth, dropout):
+        model, x, y = self.wide_case(depth, dropout)
+        # Every forward draws the same masks: each generator is restored first.
+        generators = [attn._dropout_rng for block in model.blocks
+                      for attn in (block.attn_local, block.attn_fusion)]
+        states = [g.bit_generator.state for g in generators]
+
+        def loss_fn():
+            for g, state in zip(generators, states):
+                g.bit_generator.state = state
+            return mse_loss(model.forward(x), y)
+
+        report = directional_grad_check(loss_fn, model.parameters(), directions=2)
+        assert report.passed, report
+
+    def test_direction_over_the_input(self, monkeypatch):
+        # RevIN's window statistics are constants of the tape, so the probes
+        # hold them at the unperturbed input's values. The derivative along a
+        # unit direction over 61,632 inputs is small, so the step is larger.
+        model, x, y = self.wide_case(1, 0.0)
+        revin = model.revin
+        state = RevinState(x.mean(axis=2, keepdims=True), x.std(axis=2, keepdims=True))
+        monkeypatch.setattr(revin, "normalize", lambda t: (
+            revin_normalize(t, state.mean, state.std, revin.gamma, revin.beta), state))
+        x = Parameter(x, "x")
+        report = directional_grad_check(lambda: mse_loss(model.forward(x), y), [x],
+                                        directions=2, step=1e-2)
+        assert report.passed, report
+
+    def test_corrupted_backward_is_detected(self):
+        rng = np.random.default_rng(33)
+        w = Parameter(rng.standard_normal((3, 3)), "w")
+        x, y = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((4, 3)))
+
+        def scaled_gradient(t):
+            def backward_fn(g):
+                t._accumulate(g * 1.01)  # deliberately wrong by 1 percent
+            return _make_output(t.data.copy(), (t,), backward_fn, "scaled")
+
+        report = directional_grad_check(lambda: mse_loss(scaled_gradient(matmul(x, w)), y), [w])
+        assert not report.passed
+        assert report.max_rel_error > 1e-3
 
 class TestPredict:
     def test_matches_taped_forward_bit_for_bit(self):

@@ -33,8 +33,11 @@ Variants swap or drop stages:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,7 +46,8 @@ from .errors import ConfigError, check_section
 from .layers import Conv1dBlock, GaussianKanLayer, Linear, MlpBlock, Module, MultiHeadAttention
 from .offsets import merge_offsets, split_offsets
 from .revin import RevIN
-from .tensor import Tensor, keep_threshold
+from .tensor import ATTENTION_BLOCK_BYTES, Tensor, grad_enabled, keep_threshold, no_grad
+from .training import _hold_heap
 
 VARIANTS = ("full", "moti-only", "mote-only", "no-trans", "no-kan", "mlp-swap", "conv1d-swap")
 # Tags that build the same model, bit for bit, as another tag.
@@ -250,17 +254,45 @@ class Forecaster(Module):
         depend on how the caller's batch is laid out in memory. A ``Tensor``
         input must already have the model's dtype: casting it would cut its
         gradient.
+
+        An untaped forward in eval mode (inside ``no_grad``, or with nothing
+        that requires a gradient) of more windows than one chunk holds runs
+        its chunks on the calling thread and the process's worker pool (see
+        ``worker_count``), each chunk copied on its own and its forecast
+        written into one output. A chunk holds as many windows as one
+        ``ATTENTION_BLOCK_BYTES`` block holds N x N matrices of the model's
+        dtype, so the chunks depend on the shape only, and the forecast is the
+        same bit for bit for any worker count.
         """
         if isinstance(x, Tensor):
             if x.data.dtype != self.dtype:
                 raise ConfigError(f"input tensor is {x.data.dtype}, the model is {self.dtype}")
+            windows = x.data
         else:
-            x = Tensor(np.ascontiguousarray(x, self.dtype))
+            x = windows = np.asarray(x)
         cfg = self.config
-        if x.ndim != 3 or x.shape[1] != cfg.num_variates or x.shape[2] != cfg.lookback:
-            raise ConfigError(
-                f"expected input [B, {cfg.num_variates}, {cfg.lookback}], got {x.shape}"
-            )
+        n = cfg.num_variates
+        if windows.ndim != 3 or windows.shape[1] != n or windows.shape[2] != cfg.lookback:
+            raise ConfigError(f"expected input [B, {n}, {cfg.lookback}], got {windows.shape}")
+        per = max(1, ATTENTION_BLOCK_BYTES // (n * n * self.dtype.itemsize))
+        count = windows.shape[0]
+        if self.training or count <= per or grad_enabled() and (
+                getattr(x, "requires_grad", False)
+                or any(p.requires_grad for p in self.parameters())):
+            # The copy is passed, not kept here, so _forecast can free it.
+            return self._forecast(x if isinstance(x, Tensor) else
+                                  Tensor(np.ascontiguousarray(x, self.dtype)))
+        out = np.empty((count, n, cfg.horizon), self.dtype)
+
+        def run(i):
+            chunk = slice(i * per, (i + 1) * per)
+            out[chunk] = self._forecast(
+                Tensor(np.ascontiguousarray(windows[chunk], self.dtype))).data
+
+        _run_chunks(run, -(-count // per))
+        return Tensor(out)
+
+    def _forecast(self, x: Tensor) -> Tensor:
         h, state = self.revin.normalize(x)
         del x  # the statistics are taken: without a tape the input copy is freed here
         for block in self.blocks:
@@ -330,3 +362,83 @@ class Forecaster(Module):
                               f"({type(err).__name__}: {err})") from None
         model.load_state_dict(state)
         return model
+
+
+# ---- the worker pool of untaped forwards --------------------------------------
+
+
+def worker_count() -> int:
+    """Threads an untaped forward runs its chunks on: CPUs over BLAS threads.
+
+    The CPUs are the process's affinity set; the BLAS threads are what
+    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``
+    declares, the first set to a positive integer in that order. With none
+    set, BLAS already takes every CPU, so the count is 1.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            return max(1, cpus // int(value))
+    return 1
+
+
+_pool_lock = threading.Lock()
+_pool = None  # (worker count, executor of the workers beside the caller, or None)
+
+
+def _forward_pool():
+    """The process's pool, made at its first chunked forward."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            workers = worker_count()
+            executor = None
+            if workers > 1:
+                from concurrent.futures import ThreadPoolExecutor  # 11 ms to import
+
+                _hold_heap()  # one malloc arena, before any worker allocates
+                executor = ThreadPoolExecutor(workers - 1, "phasecast-forward")
+            _pool = workers, executor
+        return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the pool: a forked child has none of its threads, so it makes its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_chunks(run, count: int) -> None:
+    """Call ``run(i)`` for each chunk i < count on the calling thread and the pool's workers.
+
+    Each thread takes the next chunk not yet taken until none is left, inside
+    its own ``no_grad`` (grad mode is per thread). Every chunk runs, also when
+    one raises; then the first failing chunk's error, in chunk order, is
+    raised here. With one worker no thread starts, and the chunks run in
+    order on the caller.
+    """
+    workers, executor = _forward_pool()
+    claim = itertools.count()
+    errors = [None] * count
+
+    def drain():
+        with no_grad():
+            while (i := next(claim)) < count:
+                try:
+                    run(i)
+                except BaseException as err:
+                    errors[i] = err
+
+    helpers = [executor.submit(drain) for _ in range(min(workers, count) - 1)]
+    drain()
+    for helper in helpers:
+        helper.result()
+    for err in errors:
+        if err is not None:
+            raise err

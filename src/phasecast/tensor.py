@@ -258,6 +258,11 @@ def no_grad():
         _GRAD_MODE.enabled = previous
 
 
+def grad_enabled() -> bool:
+    """Whether this thread records a tape (false inside ``no_grad``)."""
+    return _GRAD_MODE.enabled
+
+
 def _make_output(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
     _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
@@ -437,7 +442,10 @@ def reshape(a, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     try:
-        data = a.data.reshape(shape)
+        # C order always: the one-window offset split is otherwise a view that
+        # strides its last axis over the phases, and the reductions along that
+        # axis after it run slower and sum in another order than a batch's.
+        data = np.ascontiguousarray(a.data.reshape(shape))
     except ValueError as err:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}: {err}") from None
 

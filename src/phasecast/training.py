@@ -204,25 +204,29 @@ def evaluate_mse(model, inputs: np.ndarray, targets: np.ndarray, batch_size: int
     return total / targets.size
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc's mallopt parameters
 
 
 @functools.cache
 def _hold_heap() -> None:
-    """Keep freed step memory mapped in glibc's heap, once per process.
+    """Keep freed step memory mapped in glibc's heap, in one arena, once per process.
 
     Each train step frees its graph and each inference batch its forward's
     arrays, and by default glibc trims the free heap top and unmaps large
     blocks, so the next step or batch faults the same pages back in. Raising
     the trim threshold keeps them. The mmap threshold is set with it: the
     trim threshold alone turns off glibc's dynamic mmap threshold, which then
-    stays at 128 KiB. Where libc has no ``mallopt`` this does nothing.
+    stays at 128 KiB. The forward's worker threads (``model.worker_count``)
+    share the one arena: each thread would otherwise allocate from an arena
+    of its own and keep that arena's high-water mark. This runs before the
+    first worker starts. Where libc has no ``mallopt`` this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
     mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
     mallopt(_M_TRIM_THRESHOLD, 512 * 2**20)
 

@@ -1,14 +1,24 @@
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasecast
+from phasecast import model as model_module
 from phasecast.errors import ConfigError
 from phasecast.experiment import ExperimentConfig
 from phasecast.model import Forecaster, ModelConfig, VARIANTS
-from phasecast.tensor import Tensor, no_grad
+from phasecast.tensor import NonFiniteError, Tensor, grad_enabled, no_grad
 from phasecast.training import grad_check_model
 from reference_pipeline import reference_forward
 
@@ -165,6 +175,141 @@ class TestForwardSemantics:
         y = np.random.default_rng(11).standard_normal((1, 2, 3))
         report = grad_check_model(model, x[:1], y)
         assert report.passed, report
+
+
+def wide_batch(windows, seed=0):
+    return np.random.default_rng(seed).standard_normal((windows, 321, 96))
+
+
+class TestChunkedForward:
+    """An untaped eval forward at N = 321 runs in chunks of whole windows on a
+    worker pool: one window per chunk in float64, two in float32."""
+
+    @pytest.mark.parametrize("precision, per", [("float64", 1), ("float32", 2)])
+    def test_equals_its_chunks_and_the_taped_batch(self, two_workers, precision, per):
+        model = Forecaster(ModelConfig(num_variates=321, precision=precision)).eval()
+        x = wide_batch(4)
+        with no_grad():
+            chunked = model.forward(x).data
+            loop = np.concatenate([model.forward(x[lo:lo + per]).data for lo in range(0, 4, per)])
+        assert model_module._pool[1] is not None  # a worker thread beside the caller
+        np.testing.assert_array_equal(chunked, loop)
+        taped = model.forward(x)
+        assert taped.requires_grad
+        # Equal bit for bit with this BLAS; bounded, since the KAN's GEMMs block
+        # the rows of a chunk and of the batch differently, which another BLAS
+        # may round differently.
+        bound = {"float64": 1e-15, "float32": 1e-6}[precision]
+        assert np.max(np.abs(chunked - taped.data)) <= bound * np.max(np.abs(taped.data))
+
+    def test_a_failing_chunk_raises_from_the_caller(self, two_workers):
+        model = Forecaster(ModelConfig(num_variates=321)).eval()
+        x = wide_batch(4)
+        x[2, 5, 7] = np.nan
+        with no_grad(), pytest.raises(NonFiniteError, match="tensor construction"):
+            model.forward(x)
+
+    def test_the_first_failing_chunk_raises_after_every_chunk_ran(self, two_workers, monkeypatch):
+        model = Forecaster(ModelConfig(num_variates=321)).eval()
+        x = wide_batch(4)
+        x[:, 0, 0] = np.arange(4)  # chunk i starts with i
+        forecast, ran = model._forecast, []
+
+        def chunk(t):
+            i = int(t.data[0, 0, 0])
+            if i == 1:
+                time.sleep(0.05)  # chunk 3 fails first in time
+            ran.append(i)
+            if i in (1, 3):
+                raise NonFiniteError(f"chunk {i}")
+            return forecast(t)
+
+        monkeypatch.setattr(model, "_forecast", chunk)
+        with no_grad(), pytest.raises(NonFiniteError, match="chunk 1"):
+            model.forward(x)
+        assert sorted(ran) == [0, 1, 2, 3]
+
+    def test_more_workers_than_cores_run_each_chunk_once(self, forward_workers):
+        # Six threads switching every microsecond over 24 one-window chunks: a
+        # chunk taken twice, or one lost, would show in the calls or the output,
+        # and a worker outside no_grad would record a tape.
+        forward_workers(6)
+        model = Forecaster(ModelConfig(num_variates=321, lookback=8, horizon=3, offsets=2,
+                                       num_heads=2, rbf_grid=3)).eval()
+        x = np.random.default_rng(1).standard_normal((24, 321, 8))
+        with no_grad():
+            loop = np.concatenate([model.forward(x[i:i + 1]).data for i in range(24)])
+        forecast, calls, result = model._forecast, [], []
+
+        def chunk(t):
+            calls.append((t.data[0, 0, 0], grad_enabled()))
+            return forecast(t)
+
+        model._forecast = chunk
+
+        def run():
+            with no_grad():
+                result.append(model.forward(x).data)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and result, "the forward did not finish in 60 s"
+        assert sorted(calls) == [(first, False) for first in sorted(x[:, 0, 0])]
+        np.testing.assert_array_equal(result[0], loop)
+
+    def test_forked_child_forward_completes(self, two_workers):
+        model = Forecaster(ModelConfig(num_variates=321)).eval()
+        x = wide_batch(2)
+        with no_grad():
+            expected = model.forward(x).data  # the parent's pool now has a thread
+
+        def child():
+            with no_grad():
+                os._exit(0 if np.array_equal(model.forward(x).data, expected) else 1)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(60)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("the forked child's forward did not complete in 60 s")
+        assert process.exitcode == 0
+
+    def test_same_bits_for_one_worker_or_many(self):
+        # Fresh processes: one pinned to one CPU, so one worker; one on every
+        # CPU the machine gives it. BLAS is pinned to 1 thread in both.
+        script = textwrap.dedent("""
+            import hashlib, os, sys
+            if sys.argv[1] == "pinned":
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            import numpy as np
+            from phasecast.model import Forecaster, ModelConfig, worker_count
+            from phasecast.tensor import no_grad
+            from phasecast.training import evaluate_mse
+
+            rng = np.random.default_rng(0)
+            x, y = rng.standard_normal((4, 321, 96)), rng.standard_normal((4, 321, 96))
+            model = Forecaster(ModelConfig(num_variates=321)).eval()
+            with no_grad():
+                out = model.forward(x).data
+            print(worker_count(), hashlib.sha256(out.tobytes()).hexdigest(),
+                  evaluate_mse(model, x, y, batch_size=4).hex())
+        """)
+        src = str(Path(phasecast.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        runs = [subprocess.run([sys.executable, "-c", script, where], env=env, timeout=300,
+                               capture_output=True, text=True, check=True).stdout.split()
+                for where in ("pinned", "all")]
+        assert runs[0][0] == "1"
+        assert int(runs[1][0]) == len(os.sched_getaffinity(0))
+        assert runs[0][1:] == runs[1][1:], runs
 
 
 class TestVariantGradients:

@@ -42,6 +42,15 @@ class TestSplit:
         combined = np.sort(split_offsets(Tensor(x), 4).data.reshape(-1))
         np.testing.assert_array_equal(combined, np.sort(x.reshape(-1)))
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_stack_is_c_ordered(self, batch):
+        # With one window numpy could return the stack as a view striding its
+        # last axis over the phases; the stages after it reduce along that axis.
+        x = np.random.default_rng(2).standard_normal((batch, 5, 12))
+        stacked = split_offsets(Tensor(x), 4).data
+        assert stacked.flags.c_contiguous
+        np.testing.assert_array_equal(stacked[:batch], x[:, :, 0::4])
+
 
 class TestMerge:
     def test_inverse_of_stride_two_example(self):

@@ -517,16 +517,35 @@ class TestDirectionalGradCheck:
         report = directional_grad_check(loss_fn, model.parameters(), directions=2)
         assert report.passed, report
 
+    @pytest.mark.parametrize("tag", ["moti-only", "mote-only", "no-trans", "mlp-swap",
+                                     "conv1d-swap"])
+    def test_variant_parameters(self, tag):
+        # no-kan builds moti-only's model (SAME_MODEL_AS). The probes run the
+        # untaped forward in one-window chunks; the analytic pass is taped whole.
+        rng = np.random.default_rng(34)
+        model = Forecaster(ModelConfig(num_variates=321, variant=tag, seed=35)).eval()
+        x, y = rng.standard_normal((2, 321, 96)), Tensor(rng.standard_normal((2, 321, 96)))
+        report = directional_grad_check(lambda: mse_loss(model.forward(x), y),
+                                        model.parameters(), directions=2)
+        assert report.passed, report
+
     def test_direction_over_the_input(self, monkeypatch):
         # RevIN's window statistics are constants of the tape, so the probes
         # hold them at the unperturbed input's values. The derivative along a
         # unit direction over 61,632 inputs is small, so the step is larger.
         model, x, y = self.wide_case(1, 0.0)
         revin = model.revin
-        state = RevinState(x.mean(axis=2, keepdims=True), x.std(axis=2, keepdims=True))
-        monkeypatch.setattr(revin, "normalize", lambda t: (
-            revin_normalize(t, state.mean, state.std, revin.gamma, revin.beta), state))
+        mean, std = x.mean(axis=2, keepdims=True), x.std(axis=2, keepdims=True)
         x = Parameter(x, "x")
+
+        def held_normalize(t):
+            # An untaped probe normalizes one chunk of x's windows at a time,
+            # a view into x: it holds the statistics of the windows it gets.
+            lo = (t.data.ctypes.data - x.data.ctypes.data) // t.data[0].nbytes
+            state = RevinState(mean[lo:lo + t.shape[0]], std[lo:lo + t.shape[0]])
+            return revin_normalize(t, state.mean, state.std, revin.gamma, revin.beta), state
+
+        monkeypatch.setattr(revin, "normalize", held_normalize)
         report = directional_grad_check(lambda: mse_loss(model.forward(x), y), [x],
                                         directions=2, step=1e-2)
         assert report.passed, report
@@ -557,20 +576,31 @@ class TestPredict:
         expected = float(np.mean((taped - test_y) ** 2))
         assert abs(evaluate_mse(model, test_x, test_y, batch_size=7) - expected) <= 1e-12
 
-    def test_untaped_forward_leaves_gradients_untouched(self):
-        model = Forecaster(ModelConfig(
-            num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2,
-            rbf_grid=3, dropout=0.3, seed=1))
-        _, _, (test_x, _) = tiny_windows()
+    @pytest.mark.parametrize("wide", [False, True], ids=["tiny", "wide"])
+    def test_untaped_forward_leaves_gradients_untouched(self, two_workers, wide):
+        # The wide case runs its two one-window chunks on the worker pool,
+        # where each thread must enter no_grad; the taped forward is compared
+        # over the same chunks.
+        if wide:
+            model = Forecaster(ModelConfig(num_variates=321, dropout=0.3, seed=1))
+            test_x = np.random.default_rng(1).standard_normal((2, 321, 96))
+            per = 1
+        else:
+            model = Forecaster(ModelConfig(
+                num_variates=2, lookback=8, horizon=3, offsets=2, num_heads=2,
+                rbf_grid=3, dropout=0.3, seed=1))
+            _, _, (test_x, _) = tiny_windows()
+            per = len(test_x)
         rng = np.random.default_rng(0)
         for p in model.parameters():
             p.grad = rng.standard_normal(p.shape)
         before = [p.grad.copy() for p in model.parameters()]
         model.eval()
-        taped = model.forward(test_x)
+        taped = np.concatenate([model.forward(test_x[lo:lo + per]).data
+                                for lo in range(0, len(test_x), per)])
         with no_grad():
             untaped = model.forward(test_x)
-        np.testing.assert_array_equal(untaped.data, taped.data)
+        np.testing.assert_array_equal(untaped.data, taped)
         assert untaped._parents == () and untaped._backward_fn is None
         untaped.sum().backward()
         for p, grad in zip(model.parameters(), before):

@@ -33,11 +33,8 @@ Variants swap or drop stages:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -46,8 +43,7 @@ from .errors import ConfigError, check_section
 from .layers import Conv1dBlock, GaussianKanLayer, Linear, MlpBlock, Module, MultiHeadAttention
 from .offsets import merge_offsets, split_offsets
 from .revin import RevIN
-from .tensor import ATTENTION_BLOCK_BYTES, Tensor, grad_enabled, keep_threshold, no_grad
-from .training import _hold_heap
+from .tensor import ATTENTION_BLOCK_BYTES, Tensor, _run_chunks, grad_enabled, keep_threshold
 
 VARIANTS = ("full", "moti-only", "mote-only", "no-trans", "no-kan", "mlp-swap", "conv1d-swap")
 # Tags that build the same model, bit for bit, as another tag.
@@ -258,7 +254,7 @@ class Forecaster(Module):
         An untaped forward in eval mode (inside ``no_grad``, or with nothing
         that requires a gradient) of more windows than one chunk holds runs
         its chunks on the calling thread and the process's worker pool (see
-        ``worker_count``), each chunk copied on its own and its forecast
+        ``tensor.worker_count``), each chunk copied on its own and its forecast
         written into one output. A chunk holds as many windows as one
         ``ATTENTION_BLOCK_BYTES`` block holds N x N matrices of the model's
         dtype, so the chunks depend on the shape only, and the forecast is the
@@ -362,83 +358,3 @@ class Forecaster(Module):
                               f"({type(err).__name__}: {err})") from None
         model.load_state_dict(state)
         return model
-
-
-# ---- the worker pool of untaped forwards --------------------------------------
-
-
-def worker_count() -> int:
-    """Threads an untaped forward runs its chunks on: CPUs over BLAS threads.
-
-    The CPUs are the process's affinity set; the BLAS threads are what
-    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``
-    declares, the first set to a positive integer in that order. With none
-    set, BLAS already takes every CPU, so the count is 1.
-    """
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            return max(1, cpus // int(value))
-    return 1
-
-
-_pool_lock = threading.Lock()
-_pool = None  # (worker count, executor of the workers beside the caller, or None)
-
-
-def _forward_pool():
-    """The process's pool, made at its first chunked forward."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            workers = worker_count()
-            executor = None
-            if workers > 1:
-                from concurrent.futures import ThreadPoolExecutor  # 11 ms to import
-
-                _hold_heap()  # one malloc arena, before any worker allocates
-                executor = ThreadPoolExecutor(workers - 1, "phasecast-forward")
-            _pool = workers, executor
-        return _pool
-
-
-def _forget_pool() -> None:
-    """Drop the pool: a forked child has none of its threads, so it makes its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_chunks(run, count: int) -> None:
-    """Call ``run(i)`` for each chunk i < count on the calling thread and the pool's workers.
-
-    Each thread takes the next chunk not yet taken until none is left, inside
-    its own ``no_grad`` (grad mode is per thread). Every chunk runs, also when
-    one raises; then the first failing chunk's error, in chunk order, is
-    raised here. With one worker no thread starts, and the chunks run in
-    order on the caller.
-    """
-    workers, executor = _forward_pool()
-    claim = itertools.count()
-    errors = [None] * count
-
-    def drain():
-        with no_grad():
-            while (i := next(claim)) < count:
-                try:
-                    run(i)
-                except BaseException as err:
-                    errors[i] = err
-
-    helpers = [executor.submit(drain) for _ in range(min(workers, count) - 1)]
-    drain()
-    for helper in helpers:
-        helper.result()
-    for err in errors:
-        if err is not None:
-            raise err

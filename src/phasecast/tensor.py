@@ -29,8 +29,13 @@ them (``p.grad[...] = x``), never ``p.grad = x``.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import itertools
 import math
+import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -520,6 +525,156 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make_output(data, (a,), backward_fn, "softmax")
 
 
+# ---- the worker pool -----------------------------------------------------------
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc's mallopt parameters
+
+
+@functools.cache
+def _hold_heap() -> None:
+    """Keep freed step memory mapped in glibc's heap, in one arena, once per process.
+
+    Each train step frees its graph and each inference batch its forward's
+    arrays, and by default glibc trims the free heap top and unmaps large
+    blocks, so the next step or batch faults the same pages back in. Raising
+    the trim threshold keeps them. The mmap threshold is set with it: the
+    trim threshold alone turns off glibc's dynamic mmap threshold, which then
+    stays at 128 KiB. The pool's worker threads (``worker_count``) share the
+    one arena: each thread would otherwise allocate from an arena of its own
+    and keep that arena's high-water mark. The pool makes this call before
+    its first worker starts. Where libc has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
+    mallopt(_M_TRIM_THRESHOLD, 512 * 2**20)
+
+
+def worker_count() -> int:
+    """Threads ``_run_chunks`` runs its units on, the caller included: CPUs over BLAS threads.
+
+    The CPUs are the process's affinity set; the BLAS threads are what
+    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``
+    declares, the first set to a positive integer in that order. With none
+    set, BLAS already takes every CPU, so the count is 1.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            return max(1, cpus // int(value))
+    return 1
+
+
+_pool_lock = threading.Lock()
+_pool = None  # (worker count, executor of the workers beside the caller, or None)
+
+
+def _worker_pool():
+    """The process's pool, made at its first parallel ``_run_chunks`` call."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            workers = worker_count()
+            executor = None
+            if workers > 1:
+                from concurrent.futures import ThreadPoolExecutor  # 11 ms to import
+
+                _hold_heap()  # one malloc arena, before any worker allocates
+                executor = ThreadPoolExecutor(workers - 1, "phasecast-worker")
+            _pool = workers, executor
+        return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the pool: a forked child has none of its threads, so it makes its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+class _UnitMode(threading.local):
+    running = False  # this thread runs a unit of a call with more than one
+
+
+_UNIT_MODE = _UnitMode()
+
+
+def _run_chunks(run, count: int, claim=None, inline: bool = False) -> None:
+    """Call ``run(i)`` for each unit i < count on the calling thread and the pool's workers.
+
+    Each thread takes the next unit not yet taken until none is left, inside
+    its own ``no_grad`` (grad mode is per thread) and under the caller's
+    numpy error state (``np.errstate`` is per thread too, and a worker would
+    otherwise run with numpy's defaults). ``claim(i)``, when given, runs
+    under the lock that hands out unit i, just before ``run(i)``, so what it
+    reads in order (attention's dropout stream) it reads in unit order.
+    Every unit runs, also when one raises; then the first failing unit's
+    error, in unit order, is raised here.
+
+    A thread that is already running a unit of a call with more than one
+    runs any nested call's units itself, in order, so a nested call neither
+    waits on a busy pool nor deadlocks. A call with one unit runs it on the
+    caller and leaves its nested calls free to use the pool. ``inline``
+    runs the units in order on the caller too, as a nested call does. With
+    one worker no thread starts.
+    """
+    helpers = ()
+    if count > 1 and not inline and not _UNIT_MODE.running:
+        workers, executor = _worker_pool()
+        helpers = range(min(workers, count) - 1)
+    claims, lock = itertools.count(), threading.Lock()
+    errors = [None] * count
+
+    def drain():
+        running = _UNIT_MODE.running
+        _UNIT_MODE.running = running or count > 1
+        try:
+            with no_grad():
+                while True:
+                    try:
+                        with lock:
+                            if (i := next(claims)) >= count:
+                                break
+                            if claim is not None:
+                                claim(i)
+                        run(i)
+                    except BaseException as err:
+                        errors[i] = err
+        finally:
+            _UNIT_MODE.running = running
+
+    def helper(state):
+        with np.errstate(**state):
+            drain()
+
+    futures = [executor.submit(helper, np.geterr()) for _ in helpers]
+    drain()
+    for future in futures:
+        if not future.cancel():  # a helper that has not started finds nothing left
+            future.result()
+    for err in errors:
+        if err is not None:
+            raise err
+
+
+def _per_thread(local: threading.local, name: str, make):
+    """``local``'s ``name`` on this thread, made by ``make()`` at its first use there."""
+    found = getattr(local, name, None)
+    if found is None:
+        found = make()
+        setattr(local, name, found)
+    return found
+
+
 # Bytes of exp weights in one attention block, and of features in one
 # ``kan`` block. Both ops work through their matrices or rows in blocks
 # of about this size, so their working set stays bounded however large the
@@ -585,7 +740,8 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
     projection GEMMs span many indices; at N = 321 a block is one matrix, and
     its index is projected once, not once per head. Once an index's last
     head is written its context rows go through wo into the output, so an
-    untaped call holds the output, the inputs and one block's buffers.
+    untaped call holds the output, the inputs and one block's buffers per
+    thread.
 
     A block's weights fill about ``ATTENTION_BLOCK_BYTES`` (1 MiB, at least
     one matrix; untaped, one matrix's augmented operands take at most a
@@ -649,6 +805,21 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
     once the index's last head is written. Then each input's gradient rows
     and each weight's gradient are 2-D GEMMs over the index's rows, one per
     distinct input, the weight gradients summed over the indices.
+
+    Both passes run their index rows as the units of ``_run_chunks``, on the
+    calling thread and the process's worker pool (FlashAttention-2, Dao
+    2023, splits over batch and heads the same way). The thread that takes
+    an index stages it, runs its head blocks in order and finishes it: the
+    coef scaling and the wo GEMM in forward, the input- and weight-gradient
+    GEMMs in backward. A call with one index row (the fusion layer at one
+    window) hands its head blocks to the pool instead, between the staging
+    and the finish on the caller; a call inside another call's unit runs
+    inline. Each thread that takes part makes its block buffers and staged
+    operands once per pass. Heads write disjoint column views, an index's
+    masks for all its heads are drawn when the index is handed out (under
+    the lock that hands it out, so the stream is read in matrix order), and
+    backward keeps each index's weight-gradient terms apart and adds them in
+    index order. So every bit is the same for any worker count.
     """
     xq, xk, xv = (as_tensor(t) for t in (x_q, x_k, x_v))
     if xq.ndim < 2 or xq.shape[-1] != xk.shape[-1] or xk.shape != xv.shape or heads < 1:
@@ -719,16 +890,20 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
         aug_bytes = (2 if rng is None else 1) * (sq + skv) * (d + 1) * dtype.itemsize
         matrix_bytes = max(matrix_bytes, 4 * aug_bytes)
     per_block = max(1, ATTENTION_BLOCK_BYTES // max(1, matrix_bytes))
-    # Whole leading indices with all their heads, or some heads of one index.
-    # Each block is (index rows, heads, its matrices' shape [nb, nh], whether
-    # it is its index's first block, whether it is the last); slicing clamps
-    # h + cols to heads, so the last block may hold fewer heads.
+    # A block is whole leading indices with all their heads, or some heads of
+    # one index: the index rows (slice, count) times the head blocks (slice,
+    # count). Slicing clamps h + cols to heads, so the last head block may
+    # hold fewer heads. Block b = u * len(head_blocks) + j is rows u, heads j.
     rows, cols = max(1, min(count, per_block // heads)), min(heads, per_block)
-    blocks = [(slice(i, i + rows), slice(h, h + cols),
-               (min(rows, count - i), min(cols, heads - h)), h == 0, h + cols >= heads)
-              for i in range(0, count, rows) for h in range(0, heads, cols)]
+    indices = [(slice(i, i + rows), min(rows, count - i)) for i in range(0, count, rows)]
+    head_blocks = [(slice(h, h + cols), min(cols, heads - h)) for h in range(0, heads, cols)]
     shape = (rows, cols, sq, skv)
     staged = (rows, heads)  # an index's operands are staged for all its heads
+    # Indices that share a block hold small matrices, and their units are
+    # mostly Python work that the GIL serializes: on two workers they ran
+    # 1.1-1.4x slower at N = 7. So only indices that fill a block each go to
+    # the pool.
+    inline = rows > 1
 
     def row_buffers():
         """Per source, a buffer for an index block's rows of its projections (None without)."""
@@ -745,25 +920,24 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
 
     # Forward and backward stage an index and build a block's E with these,
     # so backward's projections and E have the forward's bits. Each pass
-    # makes its own buffers, so a taped call keeps none of them.
-    def exp_buffers():
-        """Buffers for a block's ``scores`` and an index's ``[q * scale, -m]`` and ``[k, 1]^T``."""
-        # The score GEMM writes a reused, cache-warm buffer, and exp runs
-        # there in place: into fresh memory the GEMM runs about twice as slow
-        # at N = 321. The ones are written once. k is stored transposed
-        # because a GEMM against a transposed view is up to 3x slower at small N.
-        return (np.empty(shape, dtype), np.empty(staged + (sq, d + 1), dtype),
-                np.ones(staged + (d + 1, skv), dtype))
+    # makes its own buffers, one set per thread that takes part (see
+    # `_per_thread`), so a taped call keeps none of them.
+    def staged_buffers(**more):
+        """An index's projection rows, ``[q * scale, -m]`` and ``[k, 1]^T``, and ``more``."""
+        # k is stored transposed because a GEMM against a transposed view is
+        # up to 3x slower at small N. The ones are written once.
+        return SimpleNamespace(proj=row_buffers(), qa=np.empty(staged + (sq, d + 1), dtype),
+                               kt=np.ones(staged + (d + 1, skv), dtype), **more)
 
-    def stage(i, nb, proj, qa, kt, neg_shift=None):
-        """Project index rows i and stage their heads' ``[q * scale, -m]`` and ``[k, 1]^T``.
+    def stage(i, nb, st, neg_shift=None):
+        """Project index rows i and stage their heads' ``[q * scale, -m]`` and ``[k, 1]^T`` in st.
 
         Returns q, k and v (``[nb, S, width]``) and the ``[nb, heads, Sq]``
         negated shifts. Backward passes forward's shifts in.
         """
         projected = [x3[i].reshape(-1, x3.shape[-1]) if w is None else
                      np.matmul(x3[i].reshape(-1, x3.shape[-1]), w, out=buf[:nb * x3.shape[1]])
-                     for (_, x3, w, _), buf in zip(sources, proj)]
+                     for (_, x3, w, _), buf in zip(sources, st.proj)]
         q_i, k_i, v_i = role_views(i, nb, projected)
         ks = split(k_i)
         if neg_shift is None:
@@ -777,66 +951,80 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
                 k_norm = np.sqrt(np.einsum("...i,...i->...", ks, ks).max(axis=-1, keepdims=True))
                 neg_shift = np.multiply(np.sqrt(np.einsum("...i,...i->...", qs, qs)),
                                         -(k_norm * abs(scale)), order="C")
-        qa[:nb, ..., :d] = split(q_i * scale)  # flat multiply, then a copy
-        qa[:nb, ..., d] = neg_shift
-        kt[:nb, :, :d] = np.swapaxes(ks, -1, -2)
+        st.qa[:nb, ..., :d] = split(q_i * scale)  # flat multiply, then a copy
+        st.qa[:nb, ..., d] = neg_shift
+        st.kt[:nb, :, :d] = np.swapaxes(ks, -1, -2)
         return q_i, k_i, v_i, neg_shift
 
-    def block_exp(block, scores, qa, kt):
+    def block_exp(nb, h, nh, st, scores):
         """The block's ``E = exp(s - m)``, in place in ``scores``, from its index's staged heads."""
-        _, h, (nb, nh), _, _ = block
+        # The score GEMM writes a reused, cache-warm buffer, and exp runs
+        # there in place: into fresh memory the GEMM runs about twice as slow
+        # at N = 321.
         e = scores[:nb, :nh]
-        return np.exp(np.matmul(qa[:nb, h], kt[:nb, h], out=e), out=e)
+        return np.exp(np.matmul(st.qa[:nb, h], st.kt[:nb, h], out=e), out=e)
 
-    def exact_exp(e, pairs, h0, qa, kt):
+    def exact_exp(e, pairs, h0, st):
         """Redo the ``(index, head)`` matrices of ``block_exp``'s E on the exact path.
 
         The pairs count heads from the block's first head h0, the staged
         operands from head 0.
         """
         for i, j in pairs:
-            e_i = np.matmul(qa[i, h0 + j, :, :d], kt[i, h0 + j, :d], out=e[i, j])
+            e_i = np.matmul(st.qa[i, h0 + j, :, :d], st.kt[i, h0 + j, :d], out=e[i, j])
             _ensure_finite(e_i, "attention")
             e_i -= e_i.max(axis=-1, keepdims=True)
             np.exp(e_i, out=e_i)
 
-    scores, qa, kt = exp_buffers()
-    proj = row_buffers()
-    # Without dropout also an index's [v, 1] and [E @ v, rowsum(E)].
-    if rng is None:
-        va, oa = np.ones(staged + (skv, d + 1), dtype), np.empty(staged + (sq, d + 1), dtype)
-    else:
-        reused_mask = None if taped else np.empty(shape, bool)
-
     out = np.empty(xq.shape[:-1] + (width_out,), dtype)
     out3 = out.reshape(count, sq, width_out)
     # The context: the output itself without projections; with them, the
-    # whole context when taped (wo's gradient reads it), else one block's rows.
+    # whole context when taped (wo's gradient reads it), else one block's
+    # rows per thread.
     whole_ctx = weights is None or taped
     if weights is None:
         ctx3 = out3
     else:
-        ctx3 = np.empty((count if taped else rows, sq, width), dtype)
+        ctx3 = np.empty((count, sq, width), dtype) if taped else None
     # (1 / keep_prob) / rowsum(E) per row and head, for the dropout path and
     # backward; taped, also every index's shifts.
     coef = np.empty((count, sq, heads), dtype) if taped or rng is not None else None
     shifts = np.empty((count, heads, sq), dtype) if taped else None
-    kept = []  # (mask, exact-path pairs) per block, for backward
-    # Only matrices the guard sends down the exact path can overflow here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in blocks:
-            i, h, (nb, nh), first, last = block
-            if first:
-                q_i, k_i, v_i, neg_shift = stage(i, nb, proj, qa, kt)
-                unsafe = ~(neg_shift > -max_shift).all(axis=-1)
-                if taped:
-                    shifts[i] = neg_shift
-                ctx_i = ctx3[i] if whole_ctx else ctx3[:nb]
-                if rng is None:
-                    va[:nb, ..., :d] = split(v_i)
-            e = block_exp(block, scores, qa, kt)
+    kept = [None] * (len(indices) * len(head_blocks))  # (mask, exact-path pairs), for backward
+    masks = [None] * len(indices)
+    forward_local = threading.local()
+
+    def draw(u):
+        """The dropout masks of index rows u, all heads: run under the lock that hands out u."""
+        nb = indices[u][1]
+        draws = rng.bit_generator.random_raw((nb * heads, words)).view(np.uint16)
+        draws = draws[:, :sq * skv].reshape(nb, heads, sq, skv)
+        # `<= threshold - 1`: a threshold of 2**16 does not fit in uint16.
+        masks[u] = np.less_equal(draws, threshold - 1)
+
+    def forward_index(u):
+        """Stage index rows u, run their head blocks, then scale their context and apply wo."""
+        i, nb = indices[u]
+        st = _per_thread(forward_local, "staged", lambda: staged_buffers(
+            # Without dropout also an index's [v, 1] and [E @ v, rowsum(E)].
+            va=np.ones(staged + (skv, d + 1), dtype) if rng is None else None,
+            oa=np.empty(staged + (sq, d + 1), dtype) if rng is None else None,
+            ctx=None if whole_ctx else np.empty((rows, sq, width), dtype)))
+        q_i, k_i, v_i, neg_shift = stage(i, nb, st)
+        unsafe = ~(neg_shift > -max_shift).all(axis=-1)
+        if taped:
+            shifts[i] = neg_shift
+        ctx_i = ctx3[i] if whole_ctx else st.ctx[:nb]
+        if rng is None:
+            st.va[:nb, ..., :d] = split(v_i)
+        mask_i, masks[u] = masks[u], None
+
+        def forward_heads(j):
+            h, nh = head_blocks[j]
+            scores = _per_thread(forward_local, "scores", lambda: np.empty(shape, dtype))
+            e = block_exp(nb, h, nh, st, scores)
             if rng is None:
-                va_b, oa_b = va[:nb, h], oa[:nb, h]
+                va_b, oa_b = st.va[:nb, h], st.oa[:nb, h]
                 sums = np.matmul(e, va_b, out=oa_b)[..., d:]
             else:
                 sums = e.sum(axis=-1, keepdims=True)
@@ -847,97 +1035,121 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
             pairs = ()
             if unsafe[:, h].any() or sums.min() < min_sum:
                 pairs = np.argwhere(unsafe[:, h] | (sums < min_sum).any(axis=(-2, -1)))
-                exact_exp(e, pairs, h.start, qa, kt)
-            for a, j in pairs:
+                exact_exp(e, pairs, h.start, st)
+            for a, jj in pairs:
                 if rng is None:
-                    np.matmul(e[a, j], va_b[a, j], out=oa_b[a, j])
+                    np.matmul(e[a, jj], va_b[a, jj], out=oa_b[a, jj])
                 else:
-                    sums[a, j] = e[a, j].sum(axis=-1, keepdims=True)
+                    sums[a, jj] = e[a, jj].sum(axis=-1, keepdims=True)
             mask = None
-            if rng is None:
-                if last:  # the index's rows, every head written, in the context's order
-                    oa_i = oa[:nb].swapaxes(1, 2)
-                    coef_i = inv_keep / oa_i[..., d:]
-                    np.multiply(oa_i[..., :d], coef_i, out=ctx_i.reshape(nb, sq, heads, d))
-                    if coef is not None:
-                        coef[i] = coef_i[..., 0]
-            else:
+            if rng is not None:
                 coef[i, :, h] = (inv_keep / sums)[..., 0].swapaxes(1, 2)
-                draws = rng.bit_generator.random_raw((nb * nh, words)).view(np.uint16)
-                draws = draws[:, :sq * skv].reshape(nb, nh, sq, skv)
-                # `<= threshold - 1`: a threshold of 2**16 does not fit in uint16.
-                mask = np.less_equal(draws, threshold - 1,
-                                     out=None if taped else reused_mask[:nb, :nh])
                 # The sum above was forward's last read of the unmasked E, so
                 # the mask goes on in place. v, not [v, 1]: at head size 12 an
                 # unused sum column would cost a quarter of this GEMM.
+                mask = mask_i[:, h]
                 e *= mask
                 np.matmul(e, split(v_i)[:, h], out=split(ctx_i)[:, h])
-                if last:  # one flat pass over the index's rows, every head written
-                    ctx_i *= flat_factors(i)
-            if last and weights is not None:
-                np.matmul(ctx_i.reshape(-1, width), wo.data, out=out3[i].reshape(-1, width_out))
             if taped:
-                kept.append((mask, pairs))
+                kept[u * len(head_blocks) + j] = mask, pairs
+
+        _run_chunks(forward_heads, len(head_blocks))
+        # Every head is written: the index's rows, in the context's order.
+        if rng is None:
+            oa_i = st.oa[:nb].swapaxes(1, 2)
+            coef_i = inv_keep / oa_i[..., d:]
+            np.multiply(oa_i[..., :d], coef_i, out=ctx_i.reshape(nb, sq, heads, d))
+            if coef is not None:
+                coef[i] = coef_i[..., 0]
+        else:  # one flat pass over the index's rows
+            ctx_i *= flat_factors(i)
+        if weights is not None:
+            np.matmul(ctx_i.reshape(-1, width), wo.data, out=out3[i].reshape(-1, width_out))
+
+    # Only matrices the guard sends down the exact path can overflow here;
+    # every unit runs under this state, on whichever thread takes it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_chunks(forward_index, len(indices), None if rng is None else draw, inline)
+    del forward_local  # each thread's buffers go with it
 
     def backward_fn(g):
         g3 = g.reshape(count, sq, width_out)
         grads = [np.empty(x3.shape, dtype) for _, x3, _, _ in sources]
-        w_grads = [None if w is None else np.zeros(w.shape, dtype) for _, _, w, _ in sources]
+        terms = [None] * len(indices)  # each index's weight-gradient terms
         ones = np.ones(d, dtype)
-        scores, qa, kt = exp_buffers()
-        proj, grad_rows = row_buffers(), row_buffers()
-        buf = np.empty(shape, dtype)  # E * mask, then the score gradient
-        # v^T per index: a GEMM against a transposed view is slower.
-        vt = np.empty(staged + (d, skv), dtype)
-        if weights is not None:
-            gwo = np.zeros(wo.shape, dtype)
-        for block, (mask, pairs) in zip(blocks, kept):
-            i, h, (nb, nh), first, last = block
-            if first:  # project the index again; its dO, D and coef-scaled operands
-                q_i, k_i, v_i, _ = stage(i, nb, proj, qa, kt, shifts[i])
-                gq_i, gk_i, gv_i = role_views(i, nb, [
-                    gx[i].reshape(-1, gx.shape[-1]) if gbuf is None else gbuf[:nb * gx.shape[1]]
-                    for gx, gbuf in zip(grads, grad_rows)])
-                ctx_i = ctx3[i]
-                if weights is None:
-                    dctx = g3[i]
-                else:
-                    g_rows = g3[i].reshape(-1, width_out)
-                    gwo += ctx_i.reshape(-1, width).T @ g_rows
-                    dctx = (g_rows @ wo.data.T).reshape(nb, sq, width)
-                # D = rowsum(dO * O) for the index's rows and heads: one flat
-                # product and one GEMV over d.
-                dsum = np.matmul((dctx * ctx_i).reshape(-1, d), ones).reshape(nb, sq, heads)
-                dsum *= keep_prob
-                factor = flat_factors(i)
-                g_coef = split(dctx * factor)
-                factor *= scale
-                q_coef = split(q_i * factor)
-                vt[:nb] = np.swapaxes(split(v_i), -1, -2)
-                gs, ks = split(dctx), split(k_i)
-            with np.errstate(over="ignore", invalid="ignore"):
-                e = block_exp(block, scores, qa, kt)
-                exact_exp(e, pairs, h.start, qa, kt)
-            e_kept = e if mask is None else np.multiply(e, mask, out=buf[:nb, :nh])
-            np.matmul(np.swapaxes(e_kept, -1, -2), g_coef[:, h], out=split(gv_i)[:, h])
-            x = np.matmul(gs[:, h], vt[:nb, h], out=buf[:nb, :nh])
-            if mask is not None:
-                x *= mask
-            x -= dsum[:, :, h].swapaxes(1, 2)[..., None]
-            x *= e
-            np.matmul(x, ks[:, h], out=split(gq_i)[:, h])
-            np.matmul(np.swapaxes(x, -1, -2), q_coef[:, h], out=split(gk_i)[:, h])
-            if last:  # every head written: scale dq, then project back per source
-                gq_i *= factor
-                for (_, x3, w, _), gx, gw, gbuf in zip(sources, grads, w_grads, grad_rows):
-                    if w is not None:
-                        g_proj = gbuf[:nb * x3.shape[1]]
-                        np.matmul(g_proj, w.T, out=gx[i].reshape(-1, x3.shape[-1]))
-                        gw += x3[i].reshape(-1, x3.shape[-1]).T @ g_proj
+        local = threading.local()
+
+        def backward_index(u):
+            """Stage index rows u again, run their head blocks, then project their gradients back."""
+            i, nb = indices[u]
+            # v^T per index: a GEMM against a transposed view is slower.
+            st = _per_thread(local, "staged", lambda: staged_buffers(
+                grad_rows=row_buffers(), vt=np.empty(staged + (d, skv), dtype)))
+            q_i, k_i, v_i, _ = stage(i, nb, st, shifts[i])
+            gq_i, gk_i, gv_i = role_views(i, nb, [
+                gx[i].reshape(-1, gx.shape[-1]) if gbuf is None else gbuf[:nb * gx.shape[1]]
+                for gx, gbuf in zip(grads, st.grad_rows)])
+            ctx_i = ctx3[i]
+            gwo_term = None
+            if weights is None:
+                dctx = g3[i]
+            else:
+                g_rows = g3[i].reshape(-1, width_out)
+                gwo_term = ctx_i.reshape(-1, width).T @ g_rows
+                dctx = (g_rows @ wo.data.T).reshape(nb, sq, width)
+            # D = rowsum(dO * O) for the index's rows and heads: one flat
+            # product and one GEMV over d.
+            dsum = np.matmul((dctx * ctx_i).reshape(-1, d), ones).reshape(nb, sq, heads)
+            dsum *= keep_prob
+            factor = flat_factors(i)
+            g_coef = split(dctx * factor)
+            factor *= scale
+            q_coef = split(q_i * factor)
+            st.vt[:nb] = np.swapaxes(split(v_i), -1, -2)
+            gs, ks = split(dctx), split(k_i)
+
+            def backward_heads(j):
+                h, nh = head_blocks[j]
+                mask, pairs = kept[u * len(head_blocks) + j]
+                # buf holds E * mask, then the score gradient.
+                scores, buf = _per_thread(local, "block",
+                                          lambda: (np.empty(shape, dtype), np.empty(shape, dtype)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    e = block_exp(nb, h, nh, st, scores)
+                    exact_exp(e, pairs, h.start, st)
+                e_kept = e if mask is None else np.multiply(e, mask, out=buf[:nb, :nh])
+                np.matmul(np.swapaxes(e_kept, -1, -2), g_coef[:, h], out=split(gv_i)[:, h])
+                x = np.matmul(gs[:, h], st.vt[:nb, h], out=buf[:nb, :nh])
+                if mask is not None:
+                    x *= mask
+                x -= dsum[:, :, h].swapaxes(1, 2)[..., None]
+                x *= e
+                np.matmul(x, ks[:, h], out=split(gq_i)[:, h])
+                np.matmul(np.swapaxes(x, -1, -2), q_coef[:, h], out=split(gk_i)[:, h])
+
+            _run_chunks(backward_heads, len(head_blocks))
+            # Every head is written: scale dq, then project back per source.
+            gq_i *= factor
+            w_terms = []
+            for (_, x3, w, _), gx, gbuf in zip(sources, grads, st.grad_rows):
+                if w is not None:
+                    g_proj = gbuf[:nb * x3.shape[1]]
+                    np.matmul(g_proj, w.T, out=gx[i].reshape(-1, x3.shape[-1]))
+                    w_terms.append(x3[i].reshape(-1, x3.shape[-1]).T @ g_proj)
+            terms[u] = w_terms, gwo_term
+
+        _run_chunks(backward_index, len(indices), inline=inline)
+        del local
         for (t, _, _, _), gx in zip(sources, grads):
             t._accumulate(gx.reshape(t.shape))
         if weights is not None:
+            # Each index's terms go in in index order, as one thread would add them.
+            w_grads = [np.zeros(w.shape, dtype) for _, _, w, _ in sources]
+            gwo = np.zeros(wo.shape, dtype)
+            for w_terms, gwo_term in terms:
+                gwo += gwo_term
+                for gw, term in zip(w_grads, w_terms):
+                    gw += term
             for (_, _, _, roles), gw in zip(sources, w_grads):
                 for j, r in enumerate(roles):
                     ws[r]._accumulate(gw[:, j * width:(j + 1) * width])

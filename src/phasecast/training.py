@@ -4,8 +4,6 @@ finite-difference gradient checkers used by the verification suite.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -14,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .metrics import squared_error_sum
-from .tensor import NonFiniteError, Parameter, ShapeError, Tensor, as_tensor, no_grad
+from .tensor import NonFiniteError, Parameter, ShapeError, Tensor, _hold_heap, as_tensor, no_grad
 
 
 def mse_loss(pred, target) -> Tensor:
@@ -202,33 +200,6 @@ def evaluate_mse(model, inputs: np.ndarray, targets: np.ndarray, batch_size: int
 
     _for_each_batch(model, inputs, batch_size, add)
     return total / targets.size
-
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc's mallopt parameters
-
-
-@functools.cache
-def _hold_heap() -> None:
-    """Keep freed step memory mapped in glibc's heap, in one arena, once per process.
-
-    Each train step frees its graph and each inference batch its forward's
-    arrays, and by default glibc trims the free heap top and unmaps large
-    blocks, so the next step or batch faults the same pages back in. Raising
-    the trim threshold keeps them. The mmap threshold is set with it: the
-    trim threshold alone turns off glibc's dynamic mmap threshold, which then
-    stays at 128 KiB. The forward's worker threads (``model.worker_count``)
-    share the one arena: each thread would otherwise allocate from an arena
-    of its own and keep that arena's high-water mark. This runs before the
-    first worker starts. Where libc has no ``mallopt`` this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_ARENA_MAX, 1)
-    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
-    mallopt(_M_TRIM_THRESHOLD, 512 * 2**20)
 
 
 def train_model(model, train_windows, val_windows, schedule: TrainSchedule,

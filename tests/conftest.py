@@ -1,21 +1,21 @@
 import pytest
 
-from phasecast import model
+from phasecast import tensor
 
 
 def _drop_pool():
-    if model._pool is not None and model._pool[1] is not None:
-        model._pool[1].shutdown()
-    model._forget_pool()
+    if tensor._pool is not None and tensor._pool[1] is not None:
+        tensor._pool[1].shutdown()
+    tensor._forget_pool()
 
 
 @pytest.fixture
 def forward_workers(monkeypatch):
-    """``forward_workers(n)``: untaped forwards run their chunks on n threads,
-    whatever the machine declares."""
+    """``forward_workers(n)``: chunked forwards and attention run their units
+    on n threads, whatever the machine declares."""
 
     def use(count):
-        monkeypatch.setattr(model, "worker_count", lambda: count)
+        monkeypatch.setattr(tensor, "worker_count", lambda: count)
         _drop_pool()
 
     yield use

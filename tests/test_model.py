@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import phasecast
-from phasecast import model as model_module
+from phasecast import tensor
 from phasecast.errors import ConfigError
 from phasecast.experiment import ExperimentConfig
 from phasecast.model import Forecaster, ModelConfig, VARIANTS
@@ -192,7 +192,7 @@ class TestChunkedForward:
         with no_grad():
             chunked = model.forward(x).data
             loop = np.concatenate([model.forward(x[lo:lo + per]).data for lo in range(0, 4, per)])
-        assert model_module._pool[1] is not None  # a worker thread beside the caller
+        assert tensor._pool[1] is not None  # a worker thread beside the caller
         np.testing.assert_array_equal(chunked, loop)
         taped = model.forward(x)
         assert taped.requires_grad
@@ -290,8 +290,8 @@ class TestChunkedForward:
             if sys.argv[1] == "pinned":
                 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
             import numpy as np
-            from phasecast.model import Forecaster, ModelConfig, worker_count
-            from phasecast.tensor import no_grad
+            from phasecast.model import Forecaster, ModelConfig
+            from phasecast.tensor import no_grad, worker_count
             from phasecast.training import evaluate_mse
 
             rng = np.random.default_rng(0)

@@ -1,5 +1,8 @@
 import contextlib
 import operator
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from phasecast import tensor
 from phasecast.errors import ConfigError
-from phasecast.model import ModelConfig
+from phasecast.model import Forecaster, ModelConfig
 from phasecast.tensor import (
     NonFiniteError,
     Parameter,
@@ -683,6 +686,143 @@ class TestFusedProjections:
             with no_grad():
                 multihead_attention(x, x_kv, x_kv, ws, 0.5, heads=2)
             assert widths == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestAttentionOnWorkers:
+    """The op-level bit and oracle checks above with the op's units on 1 and 2 threads.
+
+    Each test runs its original in ``TestFusedAttention`` or
+    ``TestFusedProjections``, bounds unchanged, after ``forward_workers``.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _workers(self, forward_workers, workers):
+        forward_workers(workers)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_block_size_changes_no_bit(self, monkeypatch, masked):
+        TestFusedAttention().test_block_size_changes_no_bit(monkeypatch, masked)
+
+    @pytest.mark.parametrize("shape", [(4, 8, 321, 3), (1, 8, 321, 12)])
+    def test_block_size_changes_no_bit_at_benchmark_shapes(self, monkeypatch, shape):
+        TestFusedAttention().test_block_size_changes_no_bit_at_benchmark_shapes(monkeypatch, shape)
+
+    @pytest.mark.parametrize("mode", ["taped", "dropout", "untaped"])
+    @pytest.mark.parametrize("case", ["gap", "overflow"])
+    def test_exact_path_reads_its_own_head_at_any_block_size(self, monkeypatch, case, mode):
+        TestFusedAttention().test_exact_path_reads_its_own_head_at_any_block_size(
+            monkeypatch, case, mode)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("shape", [(128, 7, 24), (2, 321, 96)])
+    def test_matches_composition_at_benchmark_shapes(self, shape, cross, masked):
+        TestFusedProjections().test_matches_composition_at_benchmark_shapes(shape, cross, masked)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("block_bytes", [4 * 24000 - 1, 4 * 24000, 2**20])
+    def test_matches_composition_at_any_block_size(self, monkeypatch, block_bytes, cross,
+                                                   masked):
+        TestFusedProjections().test_matches_composition_at_any_block_size(
+            monkeypatch, block_bytes, cross, masked)
+
+    def test_one_gemm_per_distinct_input(self, monkeypatch):
+        TestFusedProjections().test_one_gemm_per_distinct_input(monkeypatch)
+
+
+class TestAttentionThreads:
+    def test_six_switching_workers_nest_and_keep_every_bit(self, forward_workers):
+        # Six threads switching every microsecond run a taped call whose four
+        # indices go to the pool (their heads inline) and a chunked eval
+        # forward whose attention runs inline in each window's unit. A wait on
+        # the busy pool would deadlock; a unit taken twice, lost or drawn out
+        # of order would change a bit.
+        rng = np.random.default_rng(24)
+        x, upstream = rng.standard_normal((4, 321, 24)), rng.standard_normal((4, 321, 24))
+        ws = [rng.uniform(-0.3, 0.3, (24, 24)) for _ in range(4)]
+        windows = rng.standard_normal((4, 321, 96))
+        model = Forecaster(ModelConfig(num_variates=321)).eval()
+
+        def run():
+            params = [Parameter(a, f"p{i}") for i, a in enumerate([x] + ws)]
+            drop_rng = np.random.default_rng(25)
+            out = multihead_attention(params[0], params[0], params[0], params[1:], 0.5, drop_rng,
+                                      0.9, 8)
+            (out * Tensor(upstream)).sum().backward()
+            with no_grad():
+                forecast = model.forward(windows).data
+            return [out.data, forecast, drop_rng.bit_generator.random_raw()] + [
+                p.grad for p in params]
+
+        forward_workers(1)
+        expected = run()
+        forward_workers(6)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=lambda: result.append(run()), daemon=True)
+            thread.start()
+            thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and result, "the calls did not finish in 120 s"
+        assert tensor._pool[0] == 6
+        for got, want in zip(result[0], expected):
+            assert np.array_equal(got, want)
+
+    def test_six_switching_workers_draw_and_sum_in_index_order(self, forward_workers,
+                                                               monkeypatch):
+        # 256 one-matrix units on six threads switching every microsecond.
+        # Masks drawn after a unit is handed out, not under the lock that
+        # hands it out, or weight-gradient terms summed as units finish, not
+        # in index order, change bits here in every run.
+        monkeypatch.setattr(tensor, "ATTENTION_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(26)
+        x, upstream = rng.standard_normal((256, 6, 8)), rng.standard_normal((256, 6, 8))
+        ws = [rng.uniform(-0.5, 0.5, (8, 8)) for _ in range(4)]
+        results = []
+        for workers in (1, 6):
+            forward_workers(workers)
+            params = [Parameter(a, f"p{i}") for i, a in enumerate([x] + ws)]
+            drop_rng = np.random.default_rng(27)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                out = multihead_attention(params[0], params[0], params[0], params[1:], 0.5,
+                                          drop_rng, 0.9, 2)
+                (out * Tensor(upstream)).sum().backward()
+            finally:
+                sys.setswitchinterval(interval)
+            results.append([out.data, drop_rng.bit_generator.random_raw()]
+                           + [p.grad for p in params])
+        for one, six in zip(*results):
+            assert np.array_equal(one, six)
+
+    def test_non_finite_score_on_a_worker_raises_from_the_caller(self, two_workers, monkeypatch):
+        # One index of eight heads, each with a score of inf - inf: its head
+        # blocks go to the pool, and every one takes the exact path and fails
+        # its scan. The caller stalls in its first scan, so the worker fails
+        # the others.
+        q, k = np.zeros((1, 321, 16)), np.zeros((1, 321, 16))
+        q[0, 0] = 1e200
+        k[0, 0, 0::2], k[0, 0, 1::2] = 1e200, -1e200
+        ensure_finite, scans = tensor._ensure_finite, []
+
+        def slow_scan(arr, op):
+            if op == "attention":
+                scans.append(threading.current_thread().name)
+                if threading.current_thread() is threading.main_thread():
+                    time.sleep(0.05)
+            return ensure_finite(arr, op)
+
+        monkeypatch.setattr(tensor, "_ensure_finite", slow_scan)
+        with no_grad(), pytest.raises(NonFiniteError, match="attention"):
+            attention(Tensor(q), Tensor(k), Tensor(k), 1.0, heads=8)
+        assert len(scans) == 8  # every head block ran, then the error was raised
+        assert any(name.startswith("phasecast-worker") for name in scans), scans
 
 
 def run_with_grads(build, arrays, upstream):

@@ -14,6 +14,7 @@ from phasecast.errors import ConfigError, DataError
 from phasecast.model import Forecaster, ModelConfig
 from phasecast.revin import RevinState
 from phasecast.synthetic import linear_trend
+from phasecast import tensor
 from phasecast.tensor import (
     NonFiniteError,
     Parameter,
@@ -21,6 +22,7 @@ from phasecast.tensor import (
     Tensor,
     _make_output,
     matmul,
+    multihead_attention,
     no_grad,
     revin_normalize,
 )
@@ -502,7 +504,9 @@ class TestDirectionalGradCheck:
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     @pytest.mark.parametrize("depth", [1, 2])
-    def test_full_model_parameters(self, depth, dropout):
+    def test_full_model_parameters(self, two_workers, depth, dropout):
+        # On two workers: the taped pass runs the local attention's indices
+        # and the fusion's heads on the pool, the probes one window per chunk.
         model, x, y = self.wide_case(depth, dropout)
         # Every forward draws the same masks: each generator is restored first.
         generators = [attn._dropout_rng for block in model.blocks
@@ -550,6 +554,50 @@ class TestDirectionalGradCheck:
                                         directions=2, step=1e-2)
         assert report.passed, report
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_exact_path_at_a_head_offset(self, two_workers, monkeypatch, masked):
+        # Cross-attention over [2, 321, 8] with 4 heads and identity weights,
+        # so the projections are the inputs. In index 1, head 2 (a block of
+        # its own, at head offset 2) the queries are [a, 0] with a in
+        # [0.5, 1), key 0 is [0, 801] and the other keys [b, 0] with |b| < 1:
+        # each shift overshoots its row's largest score by 400 to 800, E
+        # underflows and the matrix takes the exact path, as in test_tensor's
+        # offset_exact_inputs.
+        rng = np.random.default_rng(36)
+        n, heads, d = 321, 4, 2
+        x_q, x_kv = rng.standard_normal((2, n, heads * d)), rng.standard_normal((2, n, heads * d))
+        head = slice(2 * d, 3 * d)
+        x_q[1, :, head] = np.stack([rng.uniform(0.5, 1.0, n), np.zeros(n)], axis=-1)
+        x_kv[1, :, head] = np.stack([rng.uniform(-1.0, 1.0, n), np.zeros(n)], axis=-1)
+        x_kv[1, 0, head] = [0.0, 801.0]
+        params = [Parameter(x_q, "x_q"), Parameter(x_kv, "x_kv")] + [
+            Parameter(np.eye(heads * d), f"w{r}") for r in "qkvo"]
+        upstream = Tensor(rng.standard_normal(x_q.shape))
+        drop_rng = np.random.default_rng(37) if masked else None
+        state = drop_rng.bit_generator.state if masked else None
+        ensure_finite, scans = tensor._ensure_finite, []
+
+        def counting_scan(arr, op):
+            scans.append(op)
+            return ensure_finite(arr, op)
+
+        def loss_fn():
+            if masked:
+                drop_rng.bit_generator.state = state
+            out = multihead_attention(params[0], params[1], params[1], params[2:], 1.0,
+                                      drop_rng, 0.8 if masked else 1.0, heads)
+            return (out * upstream).sum()
+
+        # The 801 key makes the loss bend fast along the weights, so central
+        # differences need a small step: their gap falls as its square
+        # (3e-5 at a step of 1e-4, 3e-9 at 1e-6).
+        monkeypatch.setattr(tensor, "_ensure_finite", counting_scan)
+        report = directional_grad_check(loss_fn, params, directions=4, step=1e-6)
+        assert report.passed, report
+        # One exact-path scan per forward (the analytic pass and 8 probes),
+        # one in the analytic backward, and one output scan per forward.
+        assert scans.count("attention") == 9 + 1 + 9
+
     def test_corrupted_backward_is_detected(self):
         rng = np.random.default_rng(33)
         w = Parameter(rng.standard_normal((3, 3)), "w")
@@ -563,6 +611,50 @@ class TestDirectionalGradCheck:
         report = directional_grad_check(lambda: mse_loss(scaled_gradient(matmul(x, w)), y), [w])
         assert not report.passed
         assert report.max_rel_error > 1e-3
+
+class TestTrainStepBits:
+    def test_same_bits_for_one_worker_or_many(self):
+        # Fresh processes, BLAS on 1 thread: one pinned to one CPU, so one
+        # worker; one on every CPU the machine gives it, where the attention
+        # of each train step runs on the pool. Three seeded N = 321, B = 1
+        # steps with dropout 0.1 must give the same losses, flat gradients
+        # and checkpoint bytes.
+        script = textwrap.dedent("""
+            import hashlib, os, sys, tempfile
+            if sys.argv[1] == "pinned":
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            import numpy as np
+            from phasecast.model import Forecaster, ModelConfig
+            from phasecast.tensor import Tensor, worker_count
+            from phasecast.training import Adam, mse_loss
+
+            rng = np.random.default_rng(0)
+            x, y = rng.standard_normal((3, 1, 321, 96)), rng.standard_normal((3, 1, 321, 96))
+            model = Forecaster(ModelConfig(num_variates=321, dropout=0.1)).train()
+            opt = Adam(model.parameters())
+            digest = hashlib.sha256()
+            for step in range(3):
+                loss = mse_loss(model.forward(x[step]), Tensor(y[step]))
+                loss.backward()
+                digest.update(loss.data.tobytes())
+                digest.update(opt.grad.tobytes())
+                opt.step()
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "model.ckpt")
+                model.save_checkpoint(path)
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+            print(worker_count(), digest.hexdigest())
+        """)
+        src = str(Path(phasecast.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        runs = [subprocess.run([sys.executable, "-c", script, where], env=env, timeout=300,
+                               capture_output=True, text=True, check=True).stdout.split()
+                for where in ("pinned", "all")]
+        assert runs[0][0] == "1"
+        assert int(runs[1][0]) == len(os.sched_getaffinity(0))
+        assert runs[0][1] == runs[1][1], runs
+
 
 class TestPredict:
     def test_matches_taped_forward_bit_for_bit(self):

@@ -95,9 +95,6 @@ class Tensor:
             raise ShapeError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -695,131 +692,98 @@ def attention(q, k, v, scale: float, rng=None, keep_prob: float = 1.0, heads: in
     """Fused multi-head scaled dot-product attention over the last two axes.
 
     q is ``[..., Sq, heads * d]`` and k, v are ``[..., Skv, heads * d]`` with
-    the same leading axes. Head h is columns ``h*d:(h+1)*d`` of each, and the
-    output ``[..., Sq, heads * d]`` holds ``softmax(q_h @ k_h^T * scale) @ v_h``
-    in the same columns, so a projection's output goes in and the merged heads
-    come out with no split or merge in between; ``heads=1`` is attention over
-    the last two axes. The op numbers the ``[Sq, Skv]`` matrices by leading
-    index (the product of the leading axes, flattened), then head. With a
-    generator ``rng`` the weights get dropout. ``keep_prob`` is quantized to
-    ``threshold / 2**16`` with ``threshold = keep_threshold(keep_prob)``, and
-    that value is the one the op uses. Each matrix takes
-    ``words = ceil(Sq * Skv / 4)`` 64-bit words of the stream, read as 16-bit
-    integers; a weight is kept where its integer is below ``threshold`` and
-    then scaled by ``2**16 / threshold``. Every matrix takes the same number
-    of words, so the blocks read the stream in matrix order as one
-    ``rng.bit_generator.random_raw((count * heads, words))`` would. Without
-    ``rng``, ``keep_prob`` is ignored.
+    the same leading axes. Head h is columns ``h*d:(h+1)*d`` of each, and its
+    ``softmax(q_h @ k_h^T * scale) @ v_h`` fills the same columns of the
+    output; ``heads=1`` is attention over the last two axes. With a
+    generator ``rng`` the weights get dropout.
 
-    This is ``multihead_attention`` without projections; its docstring
-    gives the blocking, the shift, the guard and the backward.
+    This is ``multihead_attention`` with an identity matrix, in the inputs'
+    dtype, as all four weights: multiplying by it is exact, and it needs no
+    gradient, so it costs no weight-gradient GEMM.
     """
-    return multihead_attention(q, k, v, None, scale, rng, keep_prob, heads)
+    q, k, v = (as_tensor(t) for t in (q, k, v))
+    # The op checks the shapes: a 0-D q gets a 0 x 0 identity for it to reject.
+    eye = Tensor(np.eye(sum(q.shape[-1:]), dtype=np.result_type(q.data, k.data, v.data)))
+    return multihead_attention(q, k, v, (eye,) * 4, scale, rng, keep_prob, heads)
 
 
 def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
                         keep_prob: float = 1.0, heads: int = 1) -> Tensor:
-    """``attention(x_q @ wq, x_k @ wk, x_v @ wv, ...) @ wo`` as one op.
+    """Multi-head attention over projections of its inputs, then ``wo``, as one op.
 
-    ``weights`` is ``(wq, wk, wv, wo)``, 2-D, with wq, wk and wv
-    ``[D_in, heads * d]`` and wo ``[heads * d, D_out]``; None means no
-    projections, which is ``attention``. x_k and x_v share their shape, and
-    all three inputs their last axis. The dropout stream is read as
-    ``attention`` reads it, matrix by matrix.
+    ``weights`` is ``(wq, wk, wv, wo)``, 2-D: wq, wk and wv ``[D_in, heads *
+    d]``, wo ``[heads * d, D_out]``. x_k and x_v share their shape, and all
+    three inputs their leading axes and last axis. Head h is columns
+    ``h*d:(h+1)*d`` of ``x_q @ wq``, ``x_k @ wk`` and ``x_v @ wv``; the heads'
+    ``softmax(q_h @ k_h^T * scale) @ v_h`` fill the same columns of the
+    context, and the op returns the context ``@ wo``. A weight that needs no
+    gradient gets none and costs no weight-gradient GEMM.
 
-    The op works per block of leading indices and never holds a whole
-    projection. A block is whole leading indices with all their heads when
-    one index's heads fit, and otherwise some heads of one index. An index's
-    first block projects its rows: one GEMM per distinct input, against the
-    weights it feeds side by side, so self-attention (``x_q is x_k is x_v``)
-    is one GEMM against ``[wq | wk | wv]`` and cross-attention with
-    ``x_k is x_v`` one against ``[wk | wv]``. The projections go into the
-    staged ``[q * scale, -m]``, ``[k, 1]^T`` and (without dropout) ``[v, 1]``
-    buffers for all of the index's heads, and every block's GEMMs read their
-    heads from them. At small N a block holds whole indices, so the
-    projection GEMMs span many indices; at N = 321 a block is one matrix, and
-    its index is projected once, not once per head. Once an index's last
-    head is written its context rows go through wo into the output, so an
-    untaped call holds the output, the inputs and one block's buffers per
-    thread.
+    The ``[Sq, Skv]`` matrices are numbered by leading index (the leading
+    axes flattened), then head. With a generator ``rng`` the weights get
+    dropout at ``keep_prob`` quantized to ``threshold / 2**16``, where
+    ``threshold = keep_threshold(keep_prob)``. Each matrix reads ``words =
+    ceil(Sq * Skv / 4)`` 64-bit words of the stream as 16-bit integers,
+    keeps a weight where its integer is below ``threshold`` and scales it
+    by ``2**16 / threshold``, so the stream is read in matrix order, as one
+    ``rng.bit_generator.random_raw((count * heads, words))`` would read it.
+    Without ``rng``, ``keep_prob`` is ignored.
 
-    A block's weights fill about ``ATTENTION_BLOCK_BYTES`` (1 MiB, at least
-    one matrix; untaped, one matrix's augmented operands take at most a
-    quarter of its share), so the passes over a block's ``[Sq, Skv]`` arrays
-    re-read the core's L2 cache. No ``[Sq, Skv]`` array is scaled or
-    normalized: a block leaves its exp weights ``E = exp(s - m)``
+    The op works per block of leading indices: whole indices with all their
+    heads when one index's heads fit, else some heads of one index. A
+    block's weights fill about ``ATTENTION_BLOCK_BYTES`` (at least one
+    matrix; untaped, one matrix's augmented operands take at most a quarter
+    of it), so its passes re-read the core's L2 cache. An index's first
+    block projects its rows, one GEMM per distinct input against the weights
+    it feeds side by side (``[wq | wk | wv]`` for self-attention, ``[wk |
+    wv]`` when ``x_k is x_v``), into staged ``[q * scale, -m]``, ``[k, 1]^T``
+    and (without dropout) ``[v, 1]`` buffers for all its heads. Once its last
+    head is written, its context rows are scaled and go through wo into the
+    output, so an untaped call holds the output, the inputs and one block's
+    buffers per thread.
+
+    No ``[Sq, Skv]`` array is normalized: a block leaves ``E = exp(s - m)``
     unnormalized, and the per-row factor ``coef = (1 / keep_prob) /
-    rowsum(E)`` multiplies the ``[Sq, d]`` context instead (Rabe & Staats
-    2021), so any per-row shift ``m`` at or above the row's largest score
-    gives the same softmax. The shift is the Cauchy-Schwarz bound ``m_i =
-    |q_i * scale| * max_j |k_j|``, taken from the index's own projections,
-    and the GEMMs apply it: q gets a ``-m`` column and k a ones column, so the
-    score GEMM returns ``s - m`` and ``exp`` runs in place on it. Without
-    dropout, v gets a ones column too and the value GEMM ``E @ [v, 1]``
-    returns ``rowsum(E)`` as its last column; with dropout the factor needs
-    the sum of the unmasked E, which takes one pass. That leaves the score
-    GEMM, ``exp`` and the value GEMM as the passes over a block's ``[Sq,
-    Skv]`` arrays, plus the sum, the mask and its multiply with dropout; the
-    multiply masks E in place, after the sum, so no second ``[Sq, Skv]``
-    buffer is made.
+    rowsum(E)`` scales the context (Rabe & Staats 2021), so any shift ``m``
+    at or above a row's largest score gives the same softmax. ``m`` is the
+    Cauchy-Schwarz bound ``|q_i * scale| * max_j |k_j|``; the staged ``-m``
+    and ones columns make the score GEMM return ``s - m``, and ``exp`` runs
+    on it in place. Without dropout the value GEMM ``E @ [v, 1]`` returns
+    ``rowsum(E)`` as its last column; with dropout one pass sums E before
+    the mask multiplies it in place. numpy loops once per row over a tiny d
+    (3 at L = 96 with four offsets and 8 heads), so per-row work runs on the
+    ``[..., Sq, heads * d]`` layout: coef is one ``[count, Sq, heads]``
+    array, and an index's factors are repeated d times for flat multiplies.
 
-    The heads make the ``[..., d]`` axis tiny (d = 3 at L = 96 with four
-    offsets and 8 heads), and numpy runs a broadcast over such an axis as one
-    inner loop per row, so the per-row work is done on the ``[..., Sq,
-    heads * d]`` layout instead. coef is one ``[count, Sq, heads]`` array.
-    With dropout the context rows are scaled, once an index's last head is
-    written, by one flat multiply against the index's factors repeated d
-    times (``np.repeat``); without dropout, ``[E @ v, rowsum(E)]`` is kept per
-    index, and once the index's last head is written one multiply, walking
-    the context in its own order, scales every head's rows into it.
-
-    A matrix takes the exact path instead (score GEMM, a scan for
-    non-finite scores whose error names ``attention``, then the row max as
-    the shift) when one of its shifts is non-finite or at least half the
-    dtype's largest value, where ``s - m`` could overflow, or when one of
-    its shifted row sums is below the square root of the dtype's smallest
-    normal, where the bound overshot the row's scores and E underflowed (a
-    gap of about 354 in float64 and 44 in float32, so only float32 plausibly
-    meets it). A matrix is redone before its block's dropout draw, so the
-    stream is read the same. The guard costs one pre-check per block, an
-    ``any`` over its shift flags and a ``min`` over its row sums, and only
-    when that fires does ``argwhere`` find the matrices; a NaN sum fails
-    both comparisons alike, so the matrices found are the same.
-    Every matrix is computed on its own, so neither the block size nor the
-    head layout changes an attention value, and taped and untaped calls run
-    the same arithmetic, E in place in one reused buffer. The projection and
-    output GEMMs span a block's indices, so with weights the block size may
-    move the last digits.
+    A matrix takes the exact path (score GEMM, a scan for non-finite scores
+    whose error names ``attention``, the row max as the shift) when a shift
+    is non-finite or at least half the dtype's largest value, or a shifted
+    row sum is below the square root of the dtype's smallest normal (the
+    bound overshot and E underflowed: a gap of about 354 in float64, 44 in
+    float32). It is redone before its block's dropout draw, so the stream is
+    read the same; one ``any`` and one ``min`` per block decide whether
+    ``argwhere`` must look. Every matrix is computed on its own, so neither
+    the block size nor the head layout changes an attention value, and taped
+    and untaped calls run the same arithmetic. The projection and wo GEMMs
+    span a block's indices, so the block size may move their last digits.
 
     A taped call keeps no ``[Sq, Skv]`` float array and no projection: it
-    keeps the whole context (wo's gradient reads it), coef, the shifts and,
-    per block, the boolean mask and the matrices the guard redid. Backward
-    projects each index again with the forward's GEMM (Chen et al. 2016) and
-    rebuilds each block's E with the same GEMM and ``exp``, bit for bit,
-    without touching ``rng``. It uses ``D = rowsum(dO * O)`` for the softmax term (Dao
-    et al. 2022), so the normalized weights are never built; D is made per
-    index, as one flat ``dO * O`` and one GEMV over d. Its multiplies by coef
-    (of dO before the value-gradient GEMM, of q before the key-gradient GEMM
-    and of the query gradient) are flat passes against the repeated factors,
-    made per index as in forward, with ``v^T``; the query gradient is scaled
-    once the index's last head is written. Then each input's gradient rows
-    and each weight's gradient are 2-D GEMMs over the index's rows, one per
-    distinct input, the weight gradients summed over the indices.
+    keeps the whole context, coef, the shifts and, per block, the boolean
+    mask and the matrices the guard redid. Backward projects each index
+    again (Chen et al. 2016), rebuilds its E bit for bit without touching
+    ``rng``, and takes the softmax term from ``D = rowsum(dO * O)`` (Dao et
+    al. 2022), one flat product and one GEMV over d per index. The input
+    gradients are then 2-D GEMMs over the index's rows, one per distinct
+    input, and so are the weight gradients of a distinct input one of whose
+    weights needs a gradient, and of a wo that needs one.
 
     Both passes run their index rows as the units of ``_run_chunks``, on the
-    calling thread and the process's worker pool (FlashAttention-2, Dao
-    2023, splits over batch and heads the same way). The thread that takes
-    an index stages it, runs its head blocks in order and finishes it: the
-    coef scaling and the wo GEMM in forward, the input- and weight-gradient
-    GEMMs in backward. A call with one index row (the fusion layer at one
-    window) hands its head blocks to the pool instead, between the staging
-    and the finish on the caller; a call inside another call's unit runs
-    inline. Each thread that takes part makes its block buffers and staged
-    operands once per pass. Heads write disjoint column views, an index's
-    masks for all its heads are drawn when the index is handed out (under
-    the lock that hands it out, so the stream is read in matrix order), and
-    backward keeps each index's weight-gradient terms apart and adds them in
-    index order. So every bit is the same for any worker count.
+    caller and the worker pool (FlashAttention-2, Dao 2023, splits over batch
+    and heads the same way); a call with one index row hands out its head
+    blocks instead, and a call inside another call's unit runs inline. Heads
+    write disjoint column views, an index's masks are drawn under the lock
+    that hands the index out, and backward adds each index's weight-gradient
+    terms in index order, so every bit is the same for any worker count.
     """
     xq, xk, xv = (as_tensor(t) for t in (x_q, x_k, x_v))
     if xq.ndim < 2 or xq.shape[-1] != xk.shape[-1] or xk.shape != xv.shape or heads < 1:
@@ -827,36 +791,34 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
                          f"k, v [..., Skv, heads * d]; got {xq.shape}, {xk.shape}, {xv.shape}")
     if xq.shape[:-2] != xk.shape[:-2]:
         raise ShapeError(f"attention batch dimensions differ: {xq.shape} vs {xk.shape}")
-    width = xq.shape[-1]  # heads * d, of the projections when there are weights
-    if weights is not None:
-        ws = tuple(as_tensor(w) for w in weights)
-        wq, wo = ws[0], ws[3]
-        if any(w.ndim != 2 for w in ws) or wq.shape[0] != width \
-                or not ws[1].shape == ws[2].shape == wq.shape or wo.shape[0] != wq.shape[1]:
-            raise ShapeError(f"attention weights {[w.shape for w in ws]} do not fit "
-                             f"inputs of width {width}")
-        width = wq.shape[1]
+    ws = tuple(as_tensor(w) for w in weights)
+    wq, wo = ws[0], ws[3]
+    if any(w.ndim != 2 for w in ws) or wq.shape[0] != xq.shape[-1] \
+            or not ws[1].shape == ws[2].shape == wq.shape or wo.shape[0] != wq.shape[1]:
+        raise ShapeError(f"attention weights {[w.shape for w in ws]} do not fit "
+                         f"inputs of width {xq.shape[-1]}")
+    width, width_out = wo.shape  # heads * d, then D_out
     if width % heads:
         raise ShapeError(f"attention with {heads} heads needs a width divisible by it, "
                          f"got {width}")
     sq, skv, d = xq.shape[-2], xk.shape[-2], width // heads
-    width_out = width if weights is None else wo.shape[1]
     count = math.prod(xq.shape[:-2])
     # The sources: each distinct input, its data as [count, S, D_in], the
-    # weights it feeds side by side (None without projections) and the roles
-    # it plays (0 = q, 1 = k, 2 = v). Without projections each role is a
-    # source of its own, as each input of `attention` gets its own gradient.
-    if weights is None:
-        sources = [(t, None, (r,)) for r, t in enumerate((xq, xk, xv))]
-    else:
-        by_input = {}
-        for r, t in enumerate((xq, xk, xv)):
-            by_input.setdefault(id(t), (t, []))[1].append(r)
-        sources = [(t, np.concatenate([ws[r].data for r in roles], axis=1), roles)
-                   for t, roles in by_input.values()]
-    sources = [(t, t.data.reshape(count, t.shape[-2], t.shape[-1]), w, roles)
-               for t, w, roles in sources]
-    parents = tuple(t for t, _, _, _ in sources) + (() if weights is None else ws)
+    # weights it feeds side by side and the roles it plays (0 = q, 1 = k,
+    # 2 = v).
+    by_input = {}
+    for r, t in enumerate((xq, xk, xv)):
+        by_input.setdefault(id(t), (t, []))[1].append(r)
+    sources = [(t, t.data.reshape(count, t.shape[-2], t.shape[-1]),
+                np.concatenate([ws[r].data for r in roles], axis=1), roles)
+               for t, roles in by_input.values()]
+    # Per source, then for wo: the weights that take the columns of its
+    # weight gradient, and whether one of them needs it. Only those that do
+    # get a weight-gradient GEMM.
+    owners = [[(ws[r], slice(j * width, (j + 1) * width)) for j, r in enumerate(roles)]
+              for _, _, _, roles in sources] + [[(wo, slice(None))]]
+    learns = [any(w.requires_grad for w, _ in slot) for slot in owners]
+    parents = tuple(t for t, _, _, _ in sources) + ws
     # A float32 input with float64 weights runs in float64, as matmul would.
     dtype = np.result_type(*(t.data.dtype for t in parents))
     if rng is None:
@@ -906,9 +868,8 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
     inline = rows > 1
 
     def row_buffers():
-        """Per source, a buffer for an index block's rows of its projections (None without)."""
-        return [None if w is None else np.empty((rows * x3.shape[1], w.shape[1]), dtype)
-                for _, x3, w, _ in sources]
+        """Per source, a buffer for an index block's rows of its projections."""
+        return [np.empty((rows * x3.shape[1], w.shape[1]), dtype) for _, x3, w, _ in sources]
 
     def role_views(i, nb, per_source):
         """q, k and v of index rows i as ``[nb, S, width]`` views of each source's 2-D rows."""
@@ -935,8 +896,7 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
         Returns q, k and v (``[nb, S, width]``) and the ``[nb, heads, Sq]``
         negated shifts. Backward passes forward's shifts in.
         """
-        projected = [x3[i].reshape(-1, x3.shape[-1]) if w is None else
-                     np.matmul(x3[i].reshape(-1, x3.shape[-1]), w, out=buf[:nb * x3.shape[1]])
+        projected = [np.matmul(x3[i].reshape(-1, x3.shape[-1]), w, out=buf[:nb * x3.shape[1]])
                      for (_, x3, w, _), buf in zip(sources, st.proj)]
         q_i, k_i, v_i = role_views(i, nb, projected)
         ks = split(k_i)
@@ -978,14 +938,9 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
 
     out = np.empty(xq.shape[:-1] + (width_out,), dtype)
     out3 = out.reshape(count, sq, width_out)
-    # The context: the output itself without projections; with them, the
-    # whole context when taped (wo's gradient reads it), else one block's
+    # The whole context when taped (backward reads it), else one block's
     # rows per thread.
-    whole_ctx = weights is None or taped
-    if weights is None:
-        ctx3 = out3
-    else:
-        ctx3 = np.empty((count, sq, width), dtype) if taped else None
+    ctx3 = np.empty((count, sq, width), dtype) if taped else None
     # (1 / keep_prob) / rowsum(E) per row and head, for the dropout path and
     # backward; taped, also every index's shifts.
     coef = np.empty((count, sq, heads), dtype) if taped or rng is not None else None
@@ -1009,12 +964,12 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
             # Without dropout also an index's [v, 1] and [E @ v, rowsum(E)].
             va=np.ones(staged + (skv, d + 1), dtype) if rng is None else None,
             oa=np.empty(staged + (sq, d + 1), dtype) if rng is None else None,
-            ctx=None if whole_ctx else np.empty((rows, sq, width), dtype)))
+            ctx=None if taped else np.empty((rows, sq, width), dtype)))
         q_i, k_i, v_i, neg_shift = stage(i, nb, st)
         unsafe = ~(neg_shift > -max_shift).all(axis=-1)
         if taped:
             shifts[i] = neg_shift
-        ctx_i = ctx3[i] if whole_ctx else st.ctx[:nb]
+        ctx_i = ctx3[i] if taped else st.ctx[:nb]
         if rng is None:
             st.va[:nb, ..., :d] = split(v_i)
         mask_i, masks[u] = masks[u], None
@@ -1063,8 +1018,7 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
                 coef[i] = coef_i[..., 0]
         else:  # one flat pass over the index's rows
             ctx_i *= flat_factors(i)
-        if weights is not None:
-            np.matmul(ctx_i.reshape(-1, width), wo.data, out=out3[i].reshape(-1, width_out))
+        np.matmul(ctx_i.reshape(-1, width), wo.data, out=out3[i].reshape(-1, width_out))
 
     # Only matrices the guard sends down the exact path can overflow here;
     # every unit runs under this state, on whichever thread takes it.
@@ -1086,17 +1040,11 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
             st = _per_thread(local, "staged", lambda: staged_buffers(
                 grad_rows=row_buffers(), vt=np.empty(staged + (d, skv), dtype)))
             q_i, k_i, v_i, _ = stage(i, nb, st, shifts[i])
-            gq_i, gk_i, gv_i = role_views(i, nb, [
-                gx[i].reshape(-1, gx.shape[-1]) if gbuf is None else gbuf[:nb * gx.shape[1]]
-                for gx, gbuf in zip(grads, st.grad_rows)])
-            ctx_i = ctx3[i]
-            gwo_term = None
-            if weights is None:
-                dctx = g3[i]
-            else:
-                g_rows = g3[i].reshape(-1, width_out)
-                gwo_term = ctx_i.reshape(-1, width).T @ g_rows
-                dctx = (g_rows @ wo.data.T).reshape(nb, sq, width)
+            proj_grads = [buf[:nb * x3.shape[1]]
+                          for (_, x3, _, _), buf in zip(sources, st.grad_rows)]
+            gq_i, gk_i, gv_i = role_views(i, nb, proj_grads)
+            ctx_i, g_rows = ctx3[i], g3[i].reshape(-1, width_out)
+            dctx = (g_rows @ wo.data.T).reshape(nb, sq, width)
             # D = rowsum(dO * O) for the index's rows and heads: one flat
             # product and one GEMV over d.
             dsum = np.matmul((dctx * ctx_i).reshape(-1, d), ones).reshape(nb, sq, heads)
@@ -1130,30 +1078,28 @@ def multihead_attention(x_q, x_k, x_v, weights, scale: float, rng=None,
             _run_chunks(backward_heads, len(head_blocks))
             # Every head is written: scale dq, then project back per source.
             gq_i *= factor
-            w_terms = []
-            for (_, x3, w, _), gx, gbuf in zip(sources, grads, st.grad_rows):
-                if w is not None:
-                    g_proj = gbuf[:nb * x3.shape[1]]
-                    np.matmul(g_proj, w.T, out=gx[i].reshape(-1, x3.shape[-1]))
+            w_terms = []  # of the sources, then wo, that learn
+            for (_, x3, w, _), gx, g_proj, learn in zip(sources, grads, proj_grads, learns):
+                np.matmul(g_proj, w.T, out=gx[i].reshape(-1, x3.shape[-1]))
+                if learn:
                     w_terms.append(x3[i].reshape(-1, x3.shape[-1]).T @ g_proj)
-            terms[u] = w_terms, gwo_term
+            if learns[-1]:
+                w_terms.append(ctx_i.reshape(-1, width).T @ g_rows)
+            terms[u] = w_terms
 
         _run_chunks(backward_index, len(indices), inline=inline)
         del local
         for (t, _, _, _), gx in zip(sources, grads):
             t._accumulate(gx.reshape(t.shape))
-        if weights is not None:
-            # Each index's terms go in in index order, as one thread would add them.
-            w_grads = [np.zeros(w.shape, dtype) for _, _, w, _ in sources]
-            gwo = np.zeros(wo.shape, dtype)
-            for w_terms, gwo_term in terms:
-                gwo += gwo_term
-                for gw, term in zip(w_grads, w_terms):
-                    gw += term
-            for (_, _, _, roles), gw in zip(sources, w_grads):
-                for j, r in enumerate(roles):
-                    ws[r]._accumulate(gw[:, j * width:(j + 1) * width])
-            wo._accumulate(gwo)
+        # Each index's terms go in in index order, as one thread would add them.
+        w_grads = [np.zeros(w.shape, dtype) for w, learn in
+                   zip([w for _, _, w, _ in sources] + [wo.data], learns) if learn]
+        for w_terms in terms:
+            for gw, term in zip(w_grads, w_terms):
+                gw += term
+        for gw, slot in zip(w_grads, itertools.compress(owners, learns)):
+            for w, cols in slot:
+                w._accumulate(gw[:, cols])
 
     return _make_output(out, parents, backward_fn, "attention")
 

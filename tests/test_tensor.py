@@ -349,6 +349,48 @@ class TestFusedAttention:
         with pytest.raises(ValueError, match="keep_prob"):
             attention(x, x, x, 1.0, np.random.default_rng(0), keep_prob)
 
+    @pytest.mark.parametrize("bad", ["0-D q", "1-D q", "q and k widths", "k and v shapes",
+                                     "leading axes", "heads"])
+    def test_shapes_that_do_not_fit_are_rejected_before_any_gemm(self, monkeypatch, bad):
+        q, k, v, heads = {
+            "0-D q": ((), (2, 4), (2, 4), 1),
+            "1-D q": ((4,), (2, 4), (2, 4), 1),
+            "q and k widths": ((1, 3, 4), (1, 2, 6), (1, 2, 6), 1),
+            "k and v shapes": ((1, 3, 4), (1, 2, 4), (1, 5, 4), 1),
+            "leading axes": ((2, 3, 4), (3, 2, 4), (3, 2, 4), 1),
+            "heads": ((1, 3, 4), (1, 2, 4), (1, 2, 4), 3),  # 4 columns do not split into 3
+        }[bad]
+        gemms = []
+        matmul_ = np.matmul
+
+        def recording_matmul(*args, **kwargs):
+            gemms.append(args)
+            return matmul_(*args, **kwargs)
+
+        monkeypatch.setattr(tensor.np, "matmul", recording_matmul)
+        with pytest.raises(ShapeError):
+            attention(*(Tensor(np.ones(s)) for s in (q, k, v)), 1.0, heads=heads)
+        assert gemms == []
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("shape, heads", [((1, 8, 321, 3), 1), ((1, 2, 321, 12), 1),
+                                              ((2, 3, 5, 4), 1), ((3, 50, 8), 4)])
+    def test_one_input_in_every_role_sums_the_three_gradients(self, shape, heads, masked):
+        # x as q, k and v is one source projected once; its gradient must be
+        # what three distinct copies of x get, summed.
+        rng = np.random.default_rng(28)
+        x, upstream = rng.standard_normal(shape), rng.standard_normal(shape)
+        keep_prob = 0.8 if masked else 1.0
+        one = Parameter(x, "x")
+        out = attention(one, one, one, 0.5, dropout_rng(28, masked), keep_prob, heads)
+        (out * Tensor(upstream)).sum().backward()
+        copies = [Parameter(x, name) for name in "qkv"]
+        out_copies = attention(*copies, 0.5, dropout_rng(28, masked), keep_prob, heads)
+        (out_copies * Tensor(upstream)).sum().backward()
+        assert np.array_equal(out.data, out_copies.data)
+        summed = copies[0].grad + copies[1].grad + copies[2].grad
+        assert np.all(np.abs(one.grad - summed) <= 1e-15 * np.abs(summed).max())
+
     def test_inference_memory_bounded_by_block(self):
         # Whole weights for these inputs would take 16*8*321*321*8 bytes, ~105 MB.
         rng = np.random.default_rng(7)
@@ -686,6 +728,50 @@ class TestFusedProjections:
             with no_grad():
                 multihead_attention(x, x_kv, x_kv, ws, 0.5, heads=2)
             assert widths == expected
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("frozen", ["arrays", "tensors"])
+    def test_frozen_weights_give_the_inputs_the_same_gradients(self, frozen, masked):
+        # Weights that need no gradient, as plain arrays or as tensors that do
+        # not require one: the output and the inputs' gradients keep the bits
+        # they have with Parameter weights, and the weights get no gradient.
+        arrays, upstream = self.inputs((3, 50, 8), 60, cross=True)
+        learned, _ = self.run("fused", arrays, upstream, masked, 4)
+        xs = [Parameter(a, f"x{i}") for i, a in enumerate(arrays[:2])]
+        ws = [w if frozen == "arrays" else Tensor(w) for w in arrays[2:]]
+        out = multihead_attention(xs[0], xs[1], xs[1], ws, 1.0 / np.sqrt(2),
+                                  dropout_rng(21, masked), 0.9 if masked else 1.0, 4)
+        (out * Tensor(upstream)).sum().backward()
+        for got, want in zip([out.data] + [x.grad for x in xs], learned):
+            assert np.array_equal(got, want)
+        assert all(not isinstance(w, Tensor) or w.grad is None for w in ws)
+
+    def test_frozen_weights_take_no_weight_gradient_gemm(self):
+        # Inputs at 1e306 through weights at 1e-306 project to about 1, and
+        # an upstream gradient of 1e307 through wo at 1e-300 comes back at
+        # about 1e7, so the inputs' gradients are finite, while every
+        # weight-gradient term (x^T @ dq and the like, ctx^T @ dO) overflows.
+        rng = np.random.default_rng(29)
+        xs = [rng.uniform(0.5, 1.0, (2, 6, 8)) * 1e306 for _ in range(2)]
+        ws = [rng.uniform(0.5, 1.0, (8, 8)) * scale for scale in (1e-306,) * 3 + (1e-300,)]
+        upstream = np.full((2, 6, 8), 1e307)
+        results = []
+        for frozen in (False, True):
+            inputs = [Parameter(x, f"x{i}") for i, x in enumerate(xs)]
+            weights = [Tensor(w) if frozen else Parameter(w, f"w{i}") for i, w in enumerate(ws)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                out = multihead_attention(inputs[0], inputs[1], inputs[1], weights, 0.5, heads=2)
+                (out * Tensor(upstream)).sum().backward()
+            if frozen:
+                assert caught == []
+            else:  # the terms a frozen weight skips overflow
+                assert any("overflow" in str(w.message) for w in caught)
+                assert all(np.isinf(w.grad).any() for w in weights)
+            assert all(np.all(np.isfinite(x.grad)) for x in inputs)
+            results.append([out.data] + [x.grad for x in inputs])
+        for learned, frozen in zip(*results):
+            assert np.array_equal(learned, frozen)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
